@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace mcsafe;
 using namespace mcsafe::checker;
 using namespace mcsafe::corpus;
@@ -25,6 +27,11 @@ struct Expected {
   uint32_t Instructions, Branches, Loops, InnerLoops, Calls, TrustedCalls;
   uint64_t GlobalConditions;
 };
+
+// Names the parameter in test listings. Without it gtest prints the raw
+// struct bytes, Name pointer included, and the test names change with
+// every address-space layout.
+void PrintTo(const Expected &E, std::ostream *OS) { *OS << E.Name; }
 
 const Expected Table[] = {
     {"Sum", 13, 2, 1, 0, 0, 0, 4},
