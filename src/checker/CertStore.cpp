@@ -49,14 +49,7 @@ std::string checker::canonicalCheckConfig(const SafetyChecker::Options &O) {
      << ";p.omega_max_steps=" << P.Omega.MaxSteps
      << ";p.omega_max_ndiv_modulus=" << P.Omega.MaxNdivModulus
      << ";p.enable_cache=" << P.EnableCache
-     << ";p.enable_tiers=" << P.EnableTiers
      << ";p.enable_congruence=" << P.EnableCongruence;
-  // P.EnableSlicing is deliberately NOT part of the key: slicing is an
-  // exact decomposition (agreeing with the unsliced solver on every
-  // definite answer), so certificates written with either configuration
-  // revalidate under the other — the Unsat witnesses are re-discharged
-  // through the reading prover's own entry point either way (see
-  // revalidateCertificate).
   const support::GovernorLimits &L = O.Limits;
   // Wall-clock deadlines make outcomes timing-dependent; such runs are
   // never certified (they carry ResourceExhausted failures when the
@@ -118,7 +111,6 @@ std::string serializePayload(const Certificate &Cert) {
     W.u64(Q.Budget.OmegaMaxSteps);
     W.i64(Q.Budget.OmegaMaxNdivModulus);
     W.u64(Q.Budget.SolverTiers);
-    W.u64(Q.Budget.SolverSlicing);
     W.u8(static_cast<uint8_t>(Q.Outcome.Result));
     W.u8(Q.Outcome.ApproximatedForall ? 1 : 0);
   }
@@ -158,7 +150,7 @@ bool parsePayload(std::string_view Payload, Certificate &Out) {
   }
 
   uint32_t NWitnesses = R.u32();
-  if (!R.ok() || NWitnesses > R.remaining() / 54)
+  if (!R.ok() || NWitnesses > R.remaining() / 46)
     return false;
   Out.Witnesses.reserve(NWitnesses);
   for (uint32_t I = 0; I < NWitnesses; ++I) {
@@ -169,12 +161,10 @@ bool parsePayload(std::string_view Payload, Certificate &Out) {
     Q.Budget.OmegaMaxSteps = R.u64();
     Q.Budget.OmegaMaxNdivModulus = R.i64();
     Q.Budget.SolverTiers = R.u64();
-    Q.Budget.SolverSlicing = R.u64();
     uint8_t Result = R.u8();
     uint8_t Approx = R.u8();
     if (!R.ok() || FIx >= Pool->size() ||
-        Result > static_cast<uint8_t>(SatResult::Unknown) || Approx > 1 ||
-        Q.Budget.SolverSlicing > QueryBudget::SlicingComponent)
+        Result > static_cast<uint8_t>(SatResult::Unknown) || Approx > 1)
       return false;
     Q.F = (*Pool)[FIx];
     Q.Outcome.Result = static_cast<SatResult>(Result);
@@ -205,18 +195,7 @@ bool checker::revalidateCertificate(const Certificate &Cert,
   for (const QueryRecord &W : Cert.Witnesses) {
     // A budget drift that somehow escaped the config byte-compare makes
     // the witnesses incomparable with what this prover would compute.
-    // The slicing field alone is normalized out of the comparison:
-    // slicing is a decomposition strategy, not a resource budget, and it
-    // is deliberately absent from the canonical config so certificates
-    // revalidate across slicing configurations. That stays sound because
-    // the Unsat witnesses — the only ones a verdict rests on — are
-    // re-discharged below through this prover's own entry point, never
-    // trusted from the writing configuration; a sliced (or unsliced)
-    // prover that cannot confirm an Unsat fails revalidation and the
-    // caller re-checks cold.
-    QueryBudget Written = W.Budget;
-    Written.SolverSlicing = Current.SolverSlicing;
-    if (!(Written == Current))
+    if (!(W.Budget == Current))
       return false;
     // Only the Unsat witnesses support the verdict: an Unsat answer is
     // what proves a verification condition (checkValid proves F by

@@ -72,12 +72,8 @@ std::string canonicalCheckConfig(const SafetyChecker::Options &Opts);
 
 /// Re-discharges a loaded certificate's Unsat witnesses through a fresh
 /// prover configured from \p Opts. Returns false when any witness budget
-/// differs from the current prover budget (the SolverSlicing field
-/// excepted — slicing is a decomposition strategy, not a resource budget,
-/// and every Unsat witness is re-discharged live through the current
-/// prover's own configuration rather than trusted across them) or any
-/// Unsat witness fails to re-prove — the caller must then fall back to a
-/// cold run.
+/// differs from the current prover budget or any Unsat witness fails to
+/// re-prove — the caller must then fall back to a cold run.
 bool revalidateCertificate(const Certificate &Cert,
                            const SafetyChecker::Options &Opts);
 
@@ -89,7 +85,9 @@ public:
   /// Bumped whenever the certificate byte format (or anything feeding
   /// the digests) changes; readers reject every other version.
   /// Version 2: witness budgets carry the SolverSlicing field.
-  static constexpr uint32_t FormatVersion = 2;
+  /// Version 3: the config drops p.enable_tiers, and witness budgets drop
+  /// SolverSlicing again (every witness is a whole-query record).
+  static constexpr uint32_t FormatVersion = 3;
 
   enum class LoadOutcome : uint8_t {
     Hit,     ///< Validated certificate loaded.

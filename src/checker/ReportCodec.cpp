@@ -91,7 +91,6 @@ void checker::serializeCheckReport(ByteWriter &W, const CheckReport &Rep) {
   W.u64(P.Tiers.OmegaMisses);
   W.u64(P.Slice.DisjunctQueries);
   W.u64(P.Slice.DisjunctsDeduped);
-  W.u64(P.Slice.EqEliminated);
   W.u64(P.Slice.Components);
   W.u64(P.Slice.MultiComponent);
   W.u64(P.Slice.CacheHits);
@@ -198,7 +197,6 @@ bool checker::deserializeCheckReport(ByteReader &R, CheckReport &Rep) {
   P.Tiers.OmegaMisses = R.u64();
   P.Slice.DisjunctQueries = R.u64();
   P.Slice.DisjunctsDeduped = R.u64();
-  P.Slice.EqEliminated = R.u64();
   P.Slice.Components = R.u64();
   P.Slice.MultiComponent = R.u64();
   P.Slice.CacheHits = R.u64();

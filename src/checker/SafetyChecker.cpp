@@ -84,15 +84,7 @@ void publishCounters(support::MetricsRegistry &Reg, const std::string &Scope,
   Put("prover/tier/dbm/misses", Report.ProverStats.Tiers.DbmMisses);
   Put("prover/tier/omega/hits", Report.ProverStats.Tiers.OmegaHits);
   Put("prover/tier/omega/misses", Report.ProverStats.Tiers.OmegaMisses);
-  Put("prover/slice/queries", Report.ProverStats.Slice.DisjunctQueries);
-  Put("prover/slice/disjuncts_deduped",
-      Report.ProverStats.Slice.DisjunctsDeduped);
-  Put("prover/slice/eq_eliminated", Report.ProverStats.Slice.EqEliminated);
-  Put("prover/slice/components", Report.ProverStats.Slice.Components);
-  Put("prover/slice/multi_component", Report.ProverStats.Slice.MultiComponent);
-  Put("prover/slice/cache_hits", Report.ProverStats.Slice.CacheHits);
-  Put("prover/slice/cache_misses", Report.ProverStats.Slice.CacheMisses);
-  Put("prover/slice/omega_avoided", Report.ProverStats.Slice.OmegaAvoided);
+  forEachSliceCounter(Report.ProverStats, Put);
   Formula::InternStats Intern = Formula::internStats();
   Reg.gauge("intern/formulas").set(int64_t(Intern.Nodes));
   Reg.gauge("intern/dedup_hits").set(int64_t(Intern.DedupHits));

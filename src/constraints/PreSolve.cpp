@@ -514,12 +514,6 @@ TieredSolver::solveDifferenceBounds(const std::vector<Constraint> &Conjuncts) {
 //===----------------------------------------------------------------------===//
 
 SatResult TieredSolver::isSatisfiable(const std::vector<Constraint> &Conjuncts) {
-  if (!Opts.EnableTiers) {
-    SatResult R = Omega.isSatisfiable(Conjuncts);
-    ++(R == SatResult::Unknown ? Tiers.OmegaMisses : Tiers.OmegaHits);
-    return R;
-  }
-
   std::vector<Constraint> Live;
   bool SawPoisoned = false;
   if (std::optional<SatResult> R =

@@ -64,9 +64,6 @@ class TieredSolver {
 public:
   struct Options {
     OmegaTest::Options Omega;
-    /// When false, every query goes straight to the Omega test (the
-    /// pre-kernel behavior; also the differential-testing reference).
-    bool EnableTiers = true;
     /// When false, the congruence tier is skipped (the known-bits
     /// --no-knownbits configuration); divisibility systems fall through
     /// to the interval window scan or Omega.

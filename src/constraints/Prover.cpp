@@ -17,7 +17,6 @@ Prover::Options propagateGovernor(Prover::Options O) {
 TieredSolver::Options solverOptions(const Prover::Options &O) {
   TieredSolver::Options S;
   S.Omega = O.Omega;
-  S.EnableTiers = O.EnableTiers;
   S.EnableCongruence = O.EnableCongruence;
   return S;
 }
@@ -46,9 +45,8 @@ QueryBudget Prover::budget() const {
   B.DnfMaxAtoms = Opts.DnfMaxAtoms;
   B.OmegaMaxSteps = Opts.Omega.MaxSteps;
   B.OmegaMaxNdivModulus = Opts.Omega.MaxNdivModulus;
-  B.SolverTiers = Opts.EnableTiers ? (Opts.EnableCongruence ? 2 : 1) : 0;
-  B.SolverSlicing = Opts.EnableSlicing ? QueryBudget::SlicingOn
-                                       : QueryBudget::SlicingOff;
+  B.SolverTiers = Opts.EnableCongruence ? QueryBudget::TiersWithCongruence
+                                        : QueryBudget::TiersNoCongruence;
   return B;
 }
 
@@ -124,11 +122,11 @@ SatOutcome Prover::checkSatInternal(const FormulaRef &F) {
       Outcome.Result = SatResult::Unknown;
     } else {
       bool SawUnknown = false;
-      // With slicing on, disjuncts dedup by their interned conjunction id
-      // (atoms sorted, so the dedup is order-insensitive — a conjunction
-      // is the same query in any atom order under canonical component
-      // solving). toDNF distributes the same subtrees into many
-      // disjuncts, so repeats are common.
+      // Disjuncts dedup by their interned conjunction id (atoms sorted,
+      // so the dedup is order-insensitive — a conjunction is the same
+      // query in any atom order under canonical component solving).
+      // toDNF distributes the same subtrees into many disjuncts, so
+      // repeats are common.
       std::unordered_set<uint32_t> SeenDisjuncts;
       // A single-disjunct DNF (by far the common case) needs neither the
       // dedup set nor a disjunct-level memo entry: the whole-query cache
@@ -138,9 +136,9 @@ SatOutcome Prover::checkSatInternal(const FormulaRef &F) {
       const bool SingleDisjunct = Dnf.Disjuncts.size() == 1;
       for (const std::vector<Constraint> &Disjunct : Dnf.Disjuncts) {
         SatResult R;
-        if (Opts.EnableSlicing && SingleDisjunct) {
+        if (SingleDisjunct) {
           R = Slicer.solveSingleDisjunct(Disjunct, B, Opts.Governor);
-        } else if (Opts.EnableSlicing) {
+        } else {
           std::vector<FormulaRef> Refs;
           Refs.reserve(Disjunct.size());
           for (const Constraint &C : Disjunct)
@@ -161,8 +159,6 @@ SatOutcome Prover::checkSatInternal(const FormulaRef &F) {
           }
           R = DF->isTrue() ? SatResult::Sat
                            : Slicer.solve(DF, Disjunct, B, Opts.Governor);
-        } else {
-          R = Solver.isSatisfiable(Disjunct);
         }
         if (R == SatResult::Sat) {
           Outcome.Result = SatResult::Sat;

@@ -9,7 +9,11 @@
 /// The theorem prover the global-verification phase invokes — our stand-in
 /// for the Omega Library. Validity of a formula F (free variables
 /// implicitly universally quantified) is decided by testing the
-/// satisfiability of not(F) with the Omega test over the DNF of not(F).
+/// satisfiability of not(F) over the DNF of not(F). Every disjunct is
+/// sliced into variable-disjoint components (Slice.h), and each component
+/// goes through the pre-solver tiers in front of the Omega test
+/// (PreSolve.h). That is the one production path; the raw OmegaTest and a
+/// bare TieredSolver remain as the tests' reference oracles.
 ///
 /// Results are tri-state: Proved / NotProved / Unknown. Unknown arises
 /// from budget exhaustion, arithmetic overflow, or a Forall that had to be
@@ -82,21 +86,10 @@ public:
     /// workers only poll, so their scheduling cannot perturb the charge
     /// sequence.
     bool ChargeGovernorSteps = true;
-    /// Whether interval/difference-bound pre-solvers run in front of the
-    /// Omega test (see PreSolve.h). Part of the cache key: tiered and
-    /// untiered provers sharing one cache never exchange entries.
-    bool EnableTiers = true;
     /// Whether the congruence tier runs (disabled together with the
-    /// known-bits domain by --no-knownbits). Also part of the cache key,
-    /// via the three-valued SolverTiers budget field.
+    /// known-bits domain by --no-knownbits). Part of the cache key, via
+    /// the SolverTiers budget field.
     bool EnableCongruence = true;
-    /// Whether satisfiability queries are sliced: DNF disjuncts dedup by
-    /// interned id, an equality pre-pass eliminates unit-pivot variables,
-    /// and the residue decomposes into variable-disjoint connected
-    /// components solved (and memoized) independently — see Slice.h.
-    /// Part of the cache key via QueryBudget::SolverSlicing: sliced and
-    /// unsliced provers sharing one cache never exchange entries.
-    bool EnableSlicing = true;
   };
 
   struct Stats {
@@ -116,8 +109,7 @@ public:
     /// answered (hits) or declined/failed (misses).
     TieredSolver::TierStats Tiers;
     /// Slicing-layer counters, copied from SliceSolver (see Slice.h):
-    /// components formed, per-component memo hits, Omega runs avoided,
-    /// variables eliminated by the equality pre-pass.
+    /// components formed, per-component memo hits, Omega runs avoided.
     SliceStats Slice;
   };
 
@@ -188,6 +180,22 @@ private:
   /// Formula ids already recorded (one witness per distinct query).
   std::unordered_set<uint32_t> TranscriptSeen;
 };
+
+/// Visits every slicing counter of \p S as (metric name, value). This is
+/// the one place the prover/slice/* metric names are spelled: per-check
+/// metrics, the daemon's running totals, and the CLI's zero-valued
+/// pre-registration all go through it.
+template <typename Fn>
+void forEachSliceCounter(const Prover::Stats &S, Fn &&Visit) {
+  const SliceStats &L = S.Slice;
+  Visit("prover/slice/queries", L.DisjunctQueries);
+  Visit("prover/slice/disjuncts_deduped", L.DisjunctsDeduped);
+  Visit("prover/slice/components", L.Components);
+  Visit("prover/slice/multi_component", L.MultiComponent);
+  Visit("prover/slice/cache_hits", L.CacheHits);
+  Visit("prover/slice/cache_misses", L.CacheMisses);
+  Visit("prover/slice/omega_avoided", L.OmegaAvoided);
+}
 
 } // namespace mcsafe
 

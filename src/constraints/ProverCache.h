@@ -65,21 +65,20 @@ struct QueryBudget {
   uint64_t DnfMaxAtoms = 0;
   uint64_t OmegaMaxSteps = 0;
   int64_t OmegaMaxNdivModulus = 0;
-  /// Solver configuration (1 = pre-solver tiers enabled, 0 = Omega only).
-  /// Tiers can answer queries the Omega budgets would give up on, so a
-  /// tiered result is not reproducible by an untiered prover — the
-  /// configurations must not exchange cache entries.
-  uint64_t SolverTiers = 0;
-  /// Slicing configuration (see Slice.h), same cache-key separation
-  /// principle: a sliced prover solves each connected component under the
-  /// full Omega budget, so it can answer queries an unsliced prover gives
-  /// up on — sliced (SlicingOn) and unsliced (SlicingOff) whole-query
-  /// entries must never be exchanged, or a warm hit could change a
-  /// verdict. SlicingComponent tags the per-component memo entries, which
-  /// are keyed by a component sub-formula and must not collide with a
-  /// whole-query entry for the structurally identical formula.
-  enum : uint64_t { SlicingOff = 0, SlicingOn = 1, SlicingComponent = 2 };
-  uint64_t SolverSlicing = SlicingOff;
+  /// Solver configuration: whether the congruence tier runs (it is off
+  /// together with the known-bits domain under --no-knownbits). That tier
+  /// can answer queries the Omega budgets give up on, so the two
+  /// configurations must not exchange cache entries — and mcsafe-serve's
+  /// shared cache serves requests of both.
+  enum : uint64_t { TiersNoCongruence = 1, TiersWithCongruence = 2 };
+  uint64_t SolverTiers = TiersWithCongruence;
+  /// Entry level of the slicing layer (see Slice.h). SlicingQuery tags
+  /// whole-query and whole-disjunct entries; SlicingComponent tags the
+  /// per-component memo entries, which are keyed by a component
+  /// sub-formula and must not collide with a whole-query entry for the
+  /// structurally identical formula.
+  enum : uint64_t { SlicingQuery = 1, SlicingComponent = 2 };
+  uint64_t SolverSlicing = SlicingQuery;
 
   friend bool operator==(const QueryBudget &A, const QueryBudget &B) {
     return A.DnfMaxDisjuncts == B.DnfMaxDisjuncts &&

@@ -7,82 +7,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace mcsafe;
-
-//===----------------------------------------------------------------------===//
-// Equality-substitution pre-pass
-//===----------------------------------------------------------------------===//
-
-std::optional<SatResult>
-slice::eliminateEqualities(std::vector<Constraint> &Atoms,
-                           uint64_t &Eliminated) {
-  // Each round eliminates one variable and drops one atom, so the loop is
-  // bounded by the atom count.
-  for (;;) {
-    // The pivot choice is deterministic: the first EQ atom (in conjunct
-    // order) carrying a unit coefficient, and within it the first such
-    // variable (terms are sorted by VarId). Determinism matters because
-    // the reduced system feeds the per-component memo, whose entries must
-    // be pure functions of the input conjunction.
-    size_t PivotIdx = Atoms.size();
-    VarId PivotVar;
-    int64_t PivotCoeff = 0;
-    for (size_t I = 0; I < Atoms.size() && PivotIdx == Atoms.size(); ++I) {
-      const Constraint &C = Atoms[I];
-      if (C.kind() != ConstraintKind::EQ || C.isPoisoned())
-        continue;
-      for (const LinearExpr::Term &T : C.expr().terms()) {
-        // Only a unit pivot is exact: c*v + r == 0 solves to v = -r/c,
-        // which is integer-valued for every model only when c = +-1.
-        if (T.second == 1 || T.second == -1) {
-          PivotIdx = I;
-          PivotVar = T.first;
-          PivotCoeff = T.second;
-          break;
-        }
-      }
-    }
-    if (PivotIdx == Atoms.size())
-      return std::nullopt;
-
-    // c*v + r == 0 with c = +-1  =>  v = -c*r (1/c == c for units).
-    const LinearExpr &E = Atoms[PivotIdx].expr();
-    LinearExpr Rest =
-        E - LinearExpr::variable(PivotVar).scaled(PivotCoeff);
-    LinearExpr Replacement = Rest.scaled(-PivotCoeff);
-    if (Replacement.isPoisoned())
-      return std::nullopt;
-
-    std::vector<Constraint> Next;
-    Next.reserve(Atoms.size() - 1);
-    bool Poisoned = false;
-    for (size_t I = 0; I < Atoms.size(); ++I) {
-      if (I == PivotIdx)
-        continue;
-      Constraint S = Atoms[I].substitute(PivotVar, Replacement);
-      // A substitution that overflows would have to be solved as Unknown;
-      // abandoning the whole pass (Atoms keeps its pre-pivot state) is
-      // the conservative move — the unreduced system is equisatisfiable.
-      if (S.isPoisoned()) {
-        Poisoned = true;
-        break;
-      }
-      if (std::optional<bool> Truth = S.constantTruth()) {
-        // A now-constant atom decides: false refutes the conjunction the
-        // pivot equation was part of, true drops out.
-        if (!*Truth)
-          return SatResult::Unsat;
-        continue;
-      }
-      Next.push_back(std::move(S));
-    }
-    if (Poisoned)
-      return std::nullopt;
-    Atoms = std::move(Next);
-    ++Eliminated;
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Connected components
@@ -171,10 +98,10 @@ SatResult SliceSolver::solve(const FormulaRef &DF,
   ++Counters.DisjunctQueries;
 
   // Whole-disjunct memo: a disjunct recurring across queries (negated
-  // obligations share their context conjuncts) skips elimination,
-  // partitioning, and every per-component lookup. Keyed by the canonical
-  // conjunction the prover interned for dedup, under the enclosing
-  // query's own SlicingOn budget — sound to share with whole-query
+  // obligations share their context conjuncts) skips partitioning and
+  // every per-component lookup. Keyed by the canonical conjunction the
+  // prover interned for dedup, under the enclosing query's own
+  // SlicingQuery budget — sound to share with whole-query
   // entries, because a whole query that *is* a canonical conjunction of
   // atoms (its DNF is itself) has exactly this disjunct's semantics.
   uint64_t DisjunctKey = 0;
@@ -211,21 +138,20 @@ SatResult SliceSolver::solveUncached(const std::vector<Constraint> &Conjuncts,
   // One scan classifies the conjunction. Poisoned atoms escape
   // decomposition entirely: the tiered solver routes such conjunctions to
   // Omega, which reports them as Unknown. They are rare, never worth a
-  // special-cased component path. Constant atoms need filtering and EQ
-  // atoms may admit elimination — both take the copying slow path below;
-  // the common conjunction (all atoms variable-carrying inequalities)
-  // partitions in place with no copy at all.
-  bool NeedsRewrite = false;
+  // special-cased component path. Constant atoms need filtering, which
+  // takes the copying slow path below; the common conjunction (every
+  // atom carries a variable) partitions in place with no copy at all.
+  bool HasConstant = false;
   for (const Constraint &C : Conjuncts) {
     if (C.isPoisoned())
       return satisfiableTracked(Conjuncts);
-    if (C.kind() == ConstraintKind::EQ || C.constantTruth())
-      NeedsRewrite = true;
+    if (C.constantTruth())
+      HasConstant = true;
   }
 
   std::vector<Constraint> Work;
   const std::vector<Constraint> *Sys = &Conjuncts;
-  if (NeedsRewrite) {
+  if (HasConstant) {
     Work.reserve(Conjuncts.size());
     for (const Constraint &C : Conjuncts) {
       if (std::optional<bool> Truth = C.constantTruth()) {
@@ -235,10 +161,6 @@ SatResult SliceSolver::solveUncached(const std::vector<Constraint> &Conjuncts,
       }
       Work.push_back(C);
     }
-
-    if (std::optional<SatResult> R =
-            slice::eliminateEqualities(Work, Counters.EqEliminated))
-      return *R;
     if (Work.empty())
       return SatResult::Sat;
     Sys = &Work;

@@ -39,8 +39,8 @@
 /// apart from whole-query entries. And each whole disjunct's verdict is
 /// cached under its canonical conjunction (the same interned formula the
 /// prover's DNF-level dedup computes anyway), so a disjunct recurring
-/// across queries skips elimination, partitioning, and every component
-/// lookup outright. Disjunct entries share the SlicingOn tag with
+/// across queries skips partitioning and every component lookup
+/// outright. Disjunct entries share the SlicingQuery tag with
 /// whole-query entries — sound, because a whole query that *is* a
 /// canonical conjunction of atoms has exactly the disjunct's semantics
 /// (its DNF is itself). The recurring bound-check components machine code
@@ -50,14 +50,8 @@
 /// function of (formula, budget) — never of which enclosing query
 /// happened to compute it first.
 ///
-/// In front of the decomposition runs an equality-substitution pre-pass:
-/// Gaussian elimination over EQ atoms with unit pivots (c*v + r == 0,
-/// c = +-1  =>  v := -c*r, exact for existential integer satisfiability),
-/// which eliminates variables before components are formed — shrinking
-/// both the component graph and any residual Omega problem. Pivots are
-/// never taken on non-unit coefficients (v = -r/c is not integer-exact),
-/// and a substitution that overflows (poisons) aborts the pre-pass
-/// conservatively.
+/// Equalities are left to the solvers below: the Omega test and the
+/// congruence tier run their own unit-pivot elimination.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,7 +62,6 @@
 #include "constraints/ProverCache.h"
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace mcsafe {
@@ -84,8 +77,6 @@ struct SliceStats {
   uint64_t DisjunctQueries = 0;
   /// DNF disjuncts the prover dropped as duplicates (by interned id).
   uint64_t DisjunctsDeduped = 0;
-  /// Variables eliminated by the equality-substitution pre-pass.
-  uint64_t EqEliminated = 0;
   /// Connected components formed across all sliced queries.
   uint64_t Components = 0;
   /// Queries that split into two or more components.
@@ -100,20 +91,6 @@ struct SliceStats {
 };
 
 namespace slice {
-
-/// Equality-substitution pre-pass over \p Atoms, in place: repeatedly
-/// picks the first EQ atom carrying a variable with coefficient +-1 (the
-/// first such variable in the atom's sorted term order), substitutes that
-/// variable out of every other atom, and drops the pivot atom. Exact for
-/// existential integer satisfiability. Atoms that become trivially false
-/// surface the contradiction as SatResult::Unsat; trivially-true atoms
-/// are dropped. Returns nullopt when no contradiction was found (the
-/// caller continues with the reduced system). Never pivots on a non-unit
-/// coefficient, and abandons the pass (leaving \p Atoms at the last
-/// consistent state) if a substitution poisons. \p Eliminated is bumped
-/// once per eliminated variable.
-std::optional<SatResult> eliminateEqualities(std::vector<Constraint> &Atoms,
-                                             uint64_t &Eliminated);
 
 /// Partitions \p Atoms into connected components by shared variables
 /// (union-find over interned variable ids). \p ComponentOf receives one

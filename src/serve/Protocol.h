@@ -51,8 +51,10 @@ namespace serve {
 /// codec (checker/ReportCodec.h) changes shape. Version 2: the failure
 /// taxonomy grew WorkerCrashed/Quarantined, widening the valid Kind
 /// range in serialized reports. Version 3: prover stats in serialized
-/// reports carry the query-slicing counters.
-inline constexpr uint8_t ProtocolVersion = 3;
+/// reports carry the query-slicing counters. Version 4: the tiers and
+/// slicing request flags (bits 2 and 5) are retired, and prover stats
+/// drop the equality pre-pass counter.
+inline constexpr uint8_t ProtocolVersion = 4;
 
 inline constexpr char FrameMagic[4] = {'M', 'S', 'R', 'V'};
 inline constexpr size_t FrameHeaderSize = 18;
@@ -78,10 +80,8 @@ enum class MsgType : uint8_t {
 enum : uint32_t {
   ReqFlagLint = 1u << 0,      ///< Run the phase-0 lint (+ dead-reg prune).
   ReqFlagKnownBits = 1u << 1, ///< Known-bits domain + congruence tier.
-  ReqFlagTiers = 1u << 2,     ///< Interval/DBM pre-solver tiers.
   ReqFlagFailSoft = 1u << 3,  ///< Enumerate obligations after a trip.
   ReqFlagTrace = 1u << 4,     ///< Induction-iteration stderr trace.
-  ReqFlagSlicing = 1u << 5,   ///< Sat-query connected-component slicing.
 };
 
 /// A parsed frame header.
@@ -101,8 +101,7 @@ struct CheckRequestMsg {
   /// Requested governor budgets; the server clamps them to its caps.
   uint32_t DeadlineMs = 0;
   uint64_t ProverSteps = 0;
-  uint32_t Flags = ReqFlagLint | ReqFlagKnownBits | ReqFlagTiers |
-                   ReqFlagSlicing;
+  uint32_t Flags = ReqFlagLint | ReqFlagKnownBits;
 };
 
 /// One check response: the request's id, whether admission control shed

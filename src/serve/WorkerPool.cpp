@@ -118,8 +118,6 @@ serve::requestCheckerOptions(const CheckRequestMsg &Req, uint32_t DeadlineCapMs,
   O.Lint = (Req.Flags & ReqFlagLint) != 0;
   O.PruneDeadRegs = O.Lint;
   O.KnownBits = (Req.Flags & ReqFlagKnownBits) != 0;
-  O.ProverOpts.EnableTiers = (Req.Flags & ReqFlagTiers) != 0;
-  O.ProverOpts.EnableSlicing = (Req.Flags & ReqFlagSlicing) != 0;
   O.FailSoft = (Req.Flags & ReqFlagFailSoft) != 0;
   O.Global.DebugTrace = (Req.Flags & ReqFlagTrace) != 0;
   O.Limits.DeadlineMs = clampBudget(Req.DeadlineMs, DeadlineCapMs);

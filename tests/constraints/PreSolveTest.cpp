@@ -254,15 +254,19 @@ TEST(PreSolve, NonTierShapesFallThroughToOmega) {
 }
 
 TEST(PreSolve, DisabledTiersMatchReference) {
-  TieredSolver::Options Opts;
-  Opts.EnableTiers = false;
-  TieredSolver S(Opts);
-  EXPECT_EQ(S.isSatisfiable({Constraint::ge(var("ps.x")),
-                             Constraint::le(var("ps.x"),
-                                            LinearExpr::constant(10))}),
-            SatResult::Sat);
-  EXPECT_EQ(S.tierStats().IntervalHits + S.tierStats().DbmHits, 0u);
-  EXPECT_EQ(S.tierStats().OmegaHits, 1u);
+  // The raw Omega test is the tests' reference oracle. On a tier-shaped
+  // system it agrees with the tier that decides, and only the reference
+  // consults Omega.
+  std::vector<Constraint> Sys = {
+      Constraint::ge(var("ps.x")),
+      Constraint::le(var("ps.x"), LinearExpr::constant(10))};
+  OmegaTest Reference;
+  EXPECT_EQ(Reference.isSatisfiable(Sys), SatResult::Sat);
+  EXPECT_EQ(Reference.stats().Calls, 1u);
+  TieredSolver::TierStats St;
+  EXPECT_EQ(solveTiered(Sys, &St), SatResult::Sat);
+  EXPECT_EQ(St.IntervalHits + St.DbmHits, 1u);
+  EXPECT_EQ(St.OmegaHits + St.OmegaMisses, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -362,26 +366,46 @@ TEST(PreSolve, DifferentialFuzzAgainstOmega) {
 }
 
 TEST(PreSolve, FuzzTiersOnVsOffAgree) {
-  // The same stream through two TieredSolver configurations: tiers
-  // enabled vs Omega-only. Definitive answers must coincide.
+  // The same stream through the tiers as --no-knownbits runs them (no
+  // congruence tier) against the raw Omega test. Definitive answers must
+  // coincide.
   FuzzGen Gen;
-  TieredSolver On;
-  TieredSolver::Options OffOpts;
-  OffOpts.EnableTiers = false;
-  TieredSolver Off(OffOpts);
+  TieredSolver::Options NoCongruence;
+  NoCongruence.EnableCongruence = false;
+  TieredSolver On(NoCongruence);
+  OmegaTest Off;
   for (int I = 0; I < 2000; ++I) {
     std::vector<Constraint> Sys = Gen.randomSystem();
     SatResult A = On.isSatisfiable(Sys);
     SatResult B = Off.isSatisfiable(Sys);
-    if (A != SatResult::Unknown && B != SatResult::Unknown)
+    if (A != SatResult::Unknown && B != SatResult::Unknown) {
       ASSERT_EQ(A, B) << "config divergence on system " << I;
+    }
   }
 }
 
+/// The reference validity verdict: not(F) expanded to DNF, each disjunct
+/// decided by the raw Omega test, with no tiers, slicing, or cache.
+ProverResult omegaValid(const FormulaRef &F) {
+  const Prover::Options O;
+  DnfResult Dnf = toDNF(Formula::negate(F), O.DnfMaxDisjuncts, O.DnfMaxAtoms);
+  if (Dnf.BudgetExceeded)
+    return ProverResult::Unknown;
+  OmegaTest Omega;
+  bool SawUnknown = false;
+  for (const std::vector<Constraint> &Disjunct : Dnf.Disjuncts) {
+    SatResult R = Omega.isSatisfiable(Disjunct);
+    if (R == SatResult::Sat)
+      return Dnf.ApproximatedForall ? ProverResult::Unknown
+                                    : ProverResult::NotProved;
+    SawUnknown |= R == SatResult::Unknown;
+  }
+  return SawUnknown ? ProverResult::Unknown : ProverResult::Proved;
+}
+
 TEST(PreSolve, ProverVerdictsUnchangedByTiers) {
-  // End-to-end: a validity query through the Prover with tiers on and
-  // off. (Cache entries cannot leak between the two configurations —
-  // QueryBudget::SolverTiers keys them apart.)
+  // End-to-end: a validity query through the Prover against the
+  // Omega-only reference.
   FormulaRef Context = Formula::conj(
       {Formula::atom(Constraint::ge(var("ps.pv_i"))),
        Formula::atom(Constraint::lt(var("ps.pv_i"), var("ps.pv_n"))),
@@ -391,14 +415,14 @@ TEST(PreSolve, ProverVerdictsUnchangedByTiers) {
       {Formula::atom(Constraint::ge(var("ps.pv_a"))),
        Formula::atom(Constraint::lt(var("ps.pv_a"),
                                     var("ps.pv_n").scaled(4)))});
-  Prover::Options OnOpts;
-  Prover::Options OffOpts;
-  OffOpts.EnableTiers = false;
-  Prover On(OnOpts), Off(OffOpts);
-  EXPECT_EQ(On.checkImplies(Context, Goal), Off.checkImplies(Context, Goal));
-  EXPECT_EQ(On.checkValid(Formula::mkTrue()), Off.checkValid(Formula::mkTrue()));
+  Prover P;
+  FormulaRef Implication = Formula::implies(Context, Goal);
+  EXPECT_EQ(P.checkValid(Implication), ProverResult::Proved);
+  EXPECT_EQ(omegaValid(Implication), ProverResult::Proved);
+  EXPECT_EQ(P.checkValid(Formula::mkTrue()), omegaValid(Formula::mkTrue()));
   FormulaRef NotValid = Formula::atom(Constraint::ge(var("ps.pv_i")));
-  EXPECT_EQ(On.checkValid(NotValid), Off.checkValid(NotValid));
+  EXPECT_EQ(P.checkValid(NotValid), ProverResult::NotProved);
+  EXPECT_EQ(omegaValid(NotValid), ProverResult::NotProved);
 }
 
 } // namespace

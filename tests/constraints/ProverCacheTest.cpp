@@ -222,40 +222,40 @@ TEST(ProverCache, SameFormulaDifferentBudgetIsAMiss) {
 }
 
 // The slicing tag is part of the key: a per-component verdict must never
-// answer a whole-query lookup (or vice versa), and sliced and unsliced
-// whole-query entries stay apart — the two modes can give up on
+// answer a whole-query lookup, or vice versa. So is the congruence bit:
+// mcsafe-serve's shared cache serves requests with and without the
+// known-bits domain, and the two solver configurations can give up on
 // different queries.
 TEST(ProverCache, SlicingTagSeparatesEntries) {
   ProverCache Cache;
   FormulaRef F = ge(var("pc.slice"));
-  QueryBudget Off;
-  Off.SolverSlicing = QueryBudget::SlicingOff;
-  QueryBudget On = Off;
-  On.SolverSlicing = QueryBudget::SlicingOn;
-  QueryBudget Comp = Off;
+  QueryBudget Query;
+  Query.SolverSlicing = QueryBudget::SlicingQuery;
+  QueryBudget Comp = Query;
   Comp.SolverSlicing = QueryBudget::SlicingComponent;
+  QueryBudget NoCongruence = Query;
+  NoCongruence.SolverTiers = QueryBudget::TiersNoCongruence;
 
   Cache.insert(F, Comp, SatOutcome{SatResult::Unsat, false});
-  EXPECT_FALSE(Cache.lookup(F, Off).has_value());
-  EXPECT_FALSE(Cache.lookup(F, On).has_value());
+  EXPECT_FALSE(Cache.lookup(F, Query).has_value());
   ASSERT_TRUE(Cache.lookup(F, Comp).has_value());
 
-  Cache.insert(F, On, SatOutcome{SatResult::Sat, false});
-  ASSERT_TRUE(Cache.lookup(F, On).has_value());
-  EXPECT_EQ(Cache.lookup(F, On)->Result, SatResult::Sat);
+  Cache.insert(F, Query, SatOutcome{SatResult::Sat, false});
+  ASSERT_TRUE(Cache.lookup(F, Query).has_value());
+  EXPECT_EQ(Cache.lookup(F, Query)->Result, SatResult::Sat);
   EXPECT_EQ(Cache.lookup(F, Comp)->Result, SatResult::Unsat);
-  EXPECT_FALSE(Cache.lookup(F, Off).has_value());
+  EXPECT_FALSE(Cache.lookup(F, NoCongruence).has_value());
 }
 
 // Hits and misses split by level: SlicingComponent traffic lands in the
 // component counters, everything else in the query counters, and the
-// totals reconcile. The split is what lets bench_prover report a
+// totals reconcile. The split is what lets a benchmark report a
 // component hit rate.
 TEST(ProverCache, HitStatsSplitByLevel) {
   ProverCache Cache;
   FormulaRef F = ge(var("pc.split"));
   QueryBudget Query;
-  Query.SolverSlicing = QueryBudget::SlicingOn;
+  Query.SolverSlicing = QueryBudget::SlicingQuery;
   QueryBudget Comp;
   Comp.SolverSlicing = QueryBudget::SlicingComponent;
 

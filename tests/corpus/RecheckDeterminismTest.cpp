@@ -30,12 +30,10 @@ std::vector<CheckJob> corpusJobs() {
   return Jobs;
 }
 
-std::string runCorpus(unsigned Jobs, CertStore *Store,
-                      bool Slicing = true) {
+std::string runCorpus(unsigned Jobs, CertStore *Store) {
   ParallelCheckOptions Opts;
   Opts.Jobs = Jobs;
   Opts.Check.Certs = Store;
-  Opts.Check.ProverOpts.EnableSlicing = Slicing;
   return renderParallelReport(checkJobs(corpusJobs(), Opts));
 }
 
@@ -100,33 +98,6 @@ TEST(RecheckDeterminism, MixedWarmColdBatchesStayDeterministic) {
   EXPECT_EQ(Store.stats().Hits, corpus::corpus().size() / 2);
   EXPECT_EQ(Store.stats().Writes - Pre,
             corpus::corpus().size() - corpus::corpus().size() / 2);
-}
-
-TEST(RecheckDeterminism, CertificatesPortAcrossSlicingConfigs) {
-  // Query slicing is a prover-internal strategy, deliberately excluded
-  // from the certificate's check configuration: a store written with
-  // slicing off must revalidate warm — and render byte-identically —
-  // under a sliced prover, and vice versa. (Unsat witnesses are always
-  // re-discharged live, so a hit certifies the verdict either way.)
-  std::string Baseline = runCorpus(4, nullptr, /*Slicing=*/true);
-  ASSERT_EQ(Baseline, runCorpus(4, nullptr, /*Slicing=*/false));
-
-  {
-    TempDir T("slice-off-on");
-    CertStore Store(T.Dir);
-    ASSERT_EQ(runCorpus(4, &Store, /*Slicing=*/false), Baseline);
-    EXPECT_EQ(runCorpus(4, &Store, /*Slicing=*/true), Baseline);
-    EXPECT_EQ(Store.stats().Hits, corpus::corpus().size());
-    EXPECT_EQ(Store.stats().RevalidateFailed, 0u);
-  }
-  {
-    TempDir T("slice-on-off");
-    CertStore Store(T.Dir);
-    ASSERT_EQ(runCorpus(4, &Store, /*Slicing=*/true), Baseline);
-    EXPECT_EQ(runCorpus(4, &Store, /*Slicing=*/false), Baseline);
-    EXPECT_EQ(Store.stats().Hits, corpus::corpus().size());
-    EXPECT_EQ(Store.stats().RevalidateFailed, 0u);
-  }
 }
 
 } // namespace

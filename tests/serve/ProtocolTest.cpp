@@ -28,8 +28,7 @@ CheckRequestMsg sampleRequest() {
   Req.Policy = "policy {}\n";
   Req.DeadlineMs = 1500;
   Req.ProverSteps = 100000;
-  Req.Flags = ReqFlagLint | ReqFlagKnownBits | ReqFlagTiers |
-              ReqFlagFailSoft | ReqFlagTrace;
+  Req.Flags = ReqFlagLint | ReqFlagKnownBits | ReqFlagFailSoft | ReqFlagTrace;
   return Req;
 }
 

@@ -90,17 +90,9 @@ void usage() {
       "                 queries (deterministic, unlike --deadline-ms)\n"
       "  --fail-soft    keep verifying the remaining obligations after a\n"
       "                 budget expires instead of stopping at the first\n"
-      "  --no-tiers     disable the interval/difference-bound pre-solver\n"
-      "                 tiers; every satisfiability query runs the full\n"
-      "                 Omega test (for differential testing and timing)\n"
       "  --no-knownbits disable the known-bits (alignment) domain: no\n"
       "                 bit-pattern propagation, no divisibility atoms,\n"
       "                 no misaligned-access lint, no congruence tier\n"
-      "  --no-slicing   disable sat-query slicing: no equality\n"
-      "                 elimination, no connected-component\n"
-      "                 decomposition, no per-component memoization\n"
-      "                 (verdicts and reports are identical either way;\n"
-      "                 for differential testing and timing)\n"
       "  --fault-seed N enable the deterministic fault-injection plan\n"
       "                 with seed N (needs an MCSAFE_FAULT_INJECTION\n"
       "                 build; a no-op otherwise)\n"
@@ -146,15 +138,9 @@ struct Observability {
 struct GovernorConfig {
   support::GovernorLimits Limits;
   bool FailSoft = false;
-  /// --no-tiers: route every satisfiability query straight to Omega.
-  bool EnableTiers = true;
   /// --no-knownbits: switch off the known-bits domain everywhere it
   /// surfaces (typestate, annotation, lint, congruence tier).
   bool EnableKnownBits = true;
-  /// --no-slicing: solve every DNF disjunct whole instead of slicing it
-  /// into variable-disjoint components (and skip the equality
-  /// elimination and disjunct dedup that ride on slicing).
-  bool EnableSlicing = true;
   /// MCSAFE_TRACE: stderr-trace the induction-iteration search. Read
   /// from the environment once per invocation here in the driver — the
   /// checker itself takes it as a plain per-check option.
@@ -213,8 +199,6 @@ int runCheck(const std::string &Asm, const std::string &Policy,
   Opts.Certs = Certs;
   Opts.Limits = Gov.Limits;
   Opts.FailSoft = Gov.FailSoft;
-  Opts.ProverOpts.EnableTiers = Gov.EnableTiers;
-  Opts.ProverOpts.EnableSlicing = Gov.EnableSlicing;
   Opts.KnownBits = Gov.EnableKnownBits;
   Opts.Global.DebugTrace = Gov.DebugTrace;
   if (Lint == LintMode::Off) {
@@ -371,8 +355,6 @@ void printPhaseTable(const support::MetricsRegistry &Reg,
       [&](const auto &P) { return Cnt(P, "prover/tier/omega/hits"); });
   Row("slice components",
       [&](const auto &P) { return Cnt(P, "prover/slice/components"); });
-  Row("slice eq eliminated",
-      [&](const auto &P) { return Cnt(P, "prover/slice/eq_eliminated"); });
   Row("slice cache hits",
       [&](const auto &P) { return Cnt(P, "prover/slice/cache_hits"); });
   Row("slice omega avoided",
@@ -416,8 +398,6 @@ int runCorpusAll(bool Stats, LintMode Lint, unsigned Jobs,
   Opts.Check.Certs = Certs;
   Opts.Check.Limits = Gov.Limits;
   Opts.Check.FailSoft = Gov.FailSoft;
-  Opts.Check.ProverOpts.EnableTiers = Gov.EnableTiers;
-  Opts.Check.ProverOpts.EnableSlicing = Gov.EnableSlicing;
   Opts.Check.KnownBits = Gov.EnableKnownBits;
   Opts.Check.Global.DebugTrace = Gov.DebugTrace;
   if (Lint == LintMode::Off) {
@@ -515,10 +495,6 @@ serve::CheckRequestMsg makeRequest(uint64_t Id, std::string Name,
     Req.Flags |= serve::ReqFlagLint;
   if (Gov.EnableKnownBits)
     Req.Flags |= serve::ReqFlagKnownBits;
-  if (Gov.EnableTiers)
-    Req.Flags |= serve::ReqFlagTiers;
-  if (Gov.EnableSlicing)
-    Req.Flags |= serve::ReqFlagSlicing;
   if (Gov.FailSoft)
     Req.Flags |= serve::ReqFlagFailSoft;
   if (Gov.DebugTrace)
@@ -684,12 +660,8 @@ int main(int argc, char **argv) {
         return 2;
     } else if (Arg == "--fail-soft") {
       Gov.FailSoft = true;
-    } else if (Arg == "--no-tiers") {
-      Gov.EnableTiers = false;
     } else if (Arg == "--no-knownbits") {
       Gov.EnableKnownBits = false;
-    } else if (Arg == "--no-slicing") {
-      Gov.EnableSlicing = false;
     } else if (isFlag("--fault-seed")) {
       uint64_t Seed = 0;
       if (!numericFlag("--fault-seed", UINT64_MAX, &Seed))
@@ -809,14 +781,10 @@ int main(int argc, char **argv) {
 
   // Pre-register the slicing counters (single-check scope) so a metrics
   // dump always carries the full set at zero — even when the check
-  // bails before the prover runs, or slicing is off.
-  for (const char *Name :
-       {"check/prover/slice/queries", "check/prover/slice/disjuncts_deduped",
-        "check/prover/slice/eq_eliminated", "check/prover/slice/components",
-        "check/prover/slice/multi_component",
-        "check/prover/slice/cache_hits", "check/prover/slice/cache_misses",
-        "check/prover/slice/omega_avoided"})
-    Obs.Registry.counter(Name).inc(0);
+  // bails before the prover runs.
+  forEachSliceCounter(Prover::Stats(), [&](const char *Name, uint64_t) {
+    Obs.Registry.counter(std::string("check/") + Name).inc(0);
+  });
 
   auto Run = [&]() -> int {
     if (ConnectPath.empty() && (Ping || Shutdown || ServerStats)) {
