@@ -87,7 +87,11 @@ public:
   /// Version 2: witness budgets carry the SolverSlicing field.
   /// Version 3: the config drops p.enable_tiers, and witness budgets drop
   /// SolverSlicing again (every witness is a whole-query record).
-  static constexpr uint32_t FormatVersion = 3;
+  /// Version 4: typestate widening moved to loop heads and now widens
+  /// known bits. A version-3 certificate's cached TypestateNodeVisits and
+  /// prover counts no longer match a cold run, and warm report bytes must
+  /// equal cold ones.
+  static constexpr uint32_t FormatVersion = 4;
 
   enum class LoadOutcome : uint8_t {
     Hit,     ///< Validated certificate loaded.

@@ -979,7 +979,16 @@ checker::propagate(const CheckContext &Ctx,
   std::set<NodeId, decltype(Less)> Worklist(Less);
   Worklist.insert(Ctx.Graph.entry());
 
-  // Interval widening after a few visits keeps counting loops finite.
+  // Widening points: targets of a retreating edge (a predecessor at the
+  // same or a later reverse-postorder index). Every cycle, reducible or
+  // not, contains one, so widening there after a few visits keeps
+  // counting loops finite; no other node is ever widened.
+  std::vector<bool> WideningPoint(N, false);
+  for (NodeId Id = 0; Id < N; ++Id)
+    for (NodeId Pred : Ctx.Graph.node(Id).Preds)
+      if (RpoIndex[Id] != UINT32_MAX && RpoIndex[Pred] != UINT32_MAX &&
+          RpoIndex[Pred] >= RpoIndex[Id])
+        WideningPoint[Id] = true;
   std::vector<uint32_t> Visits(N, 0);
   constexpr uint32_t WidenAfter = 8;
 
@@ -1023,14 +1032,14 @@ checker::propagate(const CheckContext &Ctx,
         auto Lo = Ts.S.lower(), Hi = Ts.S.upper();
         return Lo && Hi && *Lo > *Hi;
       });
-    if (++Visits[Id] > WidenAfter) {
+    if (WideningPoint[Id] && ++Visits[Id] > WidenAfter) {
       NewIn = AbstractStore::widen(Result.In[Id], NewIn);
-      // Widening drops any interval bound still in motion, but known
-      // bits are never widened (the domain is finite), so rederive the
-      // bounds the surviving bits imply — e.g. an in-loop and-mask keeps
-      // its upper bound even after the counter feeding it widened to
-      // +inf. Terminates: the rederived bounds are a monotone function
-      // of the bits, which only ever lose precision across iterations.
+      // Widening drops any interval bound still in motion, but keeps
+      // every known bit below the lowest lost one, so rederive the bounds
+      // the surviving bits imply — e.g. a loop-carried and-mask keeps its
+      // upper bound at the head even after the interval widened to +inf.
+      // Terminates: the rederived bounds are a monotone function of the
+      // bits, which only ever lose precision across iterations.
       if (Ctx.KnownBits)
         NewIn.forEachReg([&](int32_t Depth, Reg R, const Typestate &Ts) {
           if (!Ts.S.isInit() || Ts.S.constant())

@@ -54,9 +54,11 @@ CorpusProgram detail::makeSfiMaskLoop() {
   CorpusProgram P;
   P.Name = "SfiMaskLoop";
   // Re-masking inside a loop, the way an SFI rewriter guards an indexed
-  // copy. The mask's bound must survive interval widening of the loop
-  // counter: the known bits (31..10 and 1..0 clear) are never widened
-  // and rederive [0,1020] after the counter goes to +inf.
+  // copy. The mask's bound must survive widening of the loop counter:
+  // widening happens only at the loop head, so the `and` derives [0,1020]
+  // afresh on every visit. Widened right after the `and`, the masked
+  // value's bits 9..2 would still be climbing, and the lowest-lost-bit
+  // rule would drop the clear bits 31..10 with them.
   P.Asm = R"(
   clr %o1            ! i = 0
 loop:

@@ -2,6 +2,7 @@
 
 #include "typestate/AbstractStore.h"
 
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -93,6 +94,21 @@ AbstractStore AbstractStore::meet(const AbstractStore &A,
   return Result;
 }
 
+analysis::KnownBits AbstractStore::widenBits(analysis::KnownBits Old,
+                                             analysis::KnownBits New) {
+  // Bits Old knew that New no longer knows (or knows with the other
+  // value). A counter loses its bits from the bottom of its carry chain
+  // upward, one per iteration; dropping everything above the lowest lost
+  // bit finishes that climb in one step, while a mask's stable bits (no
+  // lost bit at all) survive untouched.
+  uint32_t Lost = (Old.Zeros & ~New.Zeros) | (Old.Ones & ~New.Ones);
+  if (Lost == 0)
+    return New;
+  int P = std::countr_zero(Lost);
+  uint32_t Keep = static_cast<uint32_t>((uint64_t{2} << P) - 1);
+  return {New.Zeros & Keep, New.Ones & Keep};
+}
+
 AbstractStore AbstractStore::widen(const AbstractStore &Old,
                                    const AbstractStore &New) {
   if (Old.Top || New.Top)
@@ -111,12 +127,11 @@ AbstractStore AbstractStore::widen(const AbstractStore &Old,
       Lo = std::nullopt; // Still descending: drop to stabilize.
     if (Hi && (!OldS.upper() || *Hi > *OldS.upper()))
       Hi = std::nullopt;
-    if (Lo != Ts.S.lower() || Hi != Ts.S.upper())
-      // Known bits need no widening: the domain is finite and only ever
-      // descends, so keeping New's bits cannot prevent stabilization.
-      // (The checker rederives any bounds the bits still imply; see the
-      // post-widen cross-refinement in Propagation.cpp.)
-      Ts.S = State::initBits(Ts.S.bits(), Lo, Hi, Ts.S.pattern32());
+    analysis::KnownBits Bits = widenBits(OldS.bits(), Ts.S.bits());
+    // The checker rederives any bounds the surviving bits imply; see the
+    // post-widen cross-refinement in Propagation.cpp.
+    if (Lo != Ts.S.lower() || Hi != Ts.S.upper() || Bits != Ts.S.bits())
+      Ts.S = State::initBits(Bits, Lo, Hi, Ts.S.pattern32());
   }
   return Result;
 }

@@ -81,11 +81,19 @@ public:
   /// Pointwise meet. Top is the identity.
   static AbstractStore meet(const AbstractStore &A, const AbstractStore &B);
 
-  /// Widening of \p New against \p Old: scalar interval bounds that moved
-  /// outward are dropped entirely, so the descending fixpoint iteration
-  /// stabilizes even for counting loops.
+  /// Widening of \p New against \p Old, applied at loop heads: scalar
+  /// interval bounds that moved outward are dropped entirely, and known
+  /// bits widen by widenBits, so the descending fixpoint iteration
+  /// stabilizes even for counting loops without a bit-per-iteration climb.
   static AbstractStore widen(const AbstractStore &Old,
                              const AbstractStore &New);
+
+  /// The lowest-lost-bit rule: let p be the lowest bit position that \p Old
+  /// knew and \p New no longer knows (or knows with the other value); the
+  /// result is \p New without any known bit above p. Bits that did not
+  /// move (e.g. an and-mask's clear bits) are kept exactly.
+  static analysis::KnownBits widenBits(analysis::KnownBits Old,
+                                       analysis::KnownBits New);
 
   /// Visits every explicitly-tracked register entry as
   /// fn(depth, reg, typestate).

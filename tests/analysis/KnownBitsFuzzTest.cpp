@@ -158,8 +158,9 @@ TEST(KnownBitsFuzz, ResidueAndAlignment) {
     KnownBits A = randomBits(R);
     uint32_t X = randomMember(R, A);
     unsigned K = A.lowKnown();
-    if (K < 32)
+    if (K < 32) {
       EXPECT_EQ(X & ((1u << K) - 1u), A.residue());
+    }
     EXPECT_EQ(X % (1u << std::min(A.alignLog2(), 31u)), 0u);
   }
 }
@@ -199,10 +200,12 @@ TEST(KnownBitsFuzz, CrossRefineSound) {
     ASSERT_FALSE(Out.Contradiction)
         << B.str() << " V=" << V << " exact=" << Exact32;
     EXPECT_TRUE(Out.Bits.contains(Pat));
-    if (Out.Lo)
+    if (Out.Lo) {
       EXPECT_LE(*Out.Lo, V);
-    if (Out.Hi)
+    }
+    if (Out.Hi) {
       EXPECT_GE(*Out.Hi, V);
+    }
   }
 }
 

@@ -341,11 +341,12 @@ TEST(CertStore, ConcurrentWritersOfTheSameKeyNeverCorruptTheStore) {
     Th.join();
 
   // No temp-file droppings survive the stampede...
-  if (std::filesystem::exists(T.Dir))
+  if (std::filesystem::exists(T.Dir)) {
     for (const auto &E : std::filesystem::directory_iterator(T.Dir))
       EXPECT_EQ(E.path().filename().string().find(".tmp"),
                 std::string::npos)
           << "leftover temp file: " << E.path();
+  }
 
   // ...and whatever certificate won the last rename is whole: a warm
   // run replays the cold fingerprint exactly.

@@ -103,8 +103,9 @@ TEST(FailSoundness, ViolationsDominateExhaustion) {
     // Either the check got far enough to see a violation (Unsafe) or it
     // died first (Unknown) — but a Safe verdict would be unsound.
     EXPECT_NE(R.Verdict, CheckVerdict::Safe) << "steps=" << Steps;
-    if (R.Diags.hasViolations())
+    if (R.Diags.hasViolations()) {
       EXPECT_EQ(R.Verdict, CheckVerdict::Unsafe) << "steps=" << Steps;
+    }
   }
 }
 

@@ -391,6 +391,9 @@ TEST(SafetyFeatures, SfiCorpusNeedsKnownBitsDomain) {
   // The SFI mask idioms are the differential the domain exists for:
   // SAFE with it (the default), not provable without. SfiShift's bound
   // survives through the interval domain, so it stays SAFE either way.
+  // SfiMaskLoop also pins where bits widen: widened at every node visited
+  // often enough, not only at loop heads, the lowest-lost-bit rule drops
+  // the re-mask's clear bits inside the loop body and it turns UNSAFE.
   SafetyChecker::Options Off;
   Off.KnownBits = false;
   for (const char *Name :
@@ -403,6 +406,45 @@ TEST(SafetyFeatures, SfiCorpusNeedsKnownBitsDomain) {
   const corpus::CorpusProgram &Shift = corpus::corpusProgram("SfiShift");
   EXPECT_TRUE(SafetyChecker().checkSource(Shift.Asm, Shift.Policy).Safe);
   EXPECT_TRUE(SafetyChecker(Off).checkSource(Shift.Asm, Shift.Policy).Safe);
+}
+
+TEST(SafetyFeatures, LoopCarriedMaskSurvivesBitWidening) {
+  // off = (off + 4) & 1020 carried around a counted loop and used at the
+  // loop head. Widening there drops off's growing upper bound; the bits
+  // the mask clears (31..10, 1..0) did not move, so they survive the
+  // widening, and the post-widen cross-refinement rederives off <= 1020
+  // from them. Without that rederivation the access is unprovable.
+  const char *Asm = R"(
+  clr %o1            ! off = 0
+  clr %g3            ! i = 0
+loop:
+  ld [%o0+%o1],%g1
+  add %o1,4,%o1      ! off = (off + 4) & 1020
+  and %o1,1020,%o1
+  inc %g3
+  cmp %g3,%o3
+  bl loop
+  nop
+  retl
+  nop
+)";
+  const char *Policy = R"(
+loc e : int32 state=init summary
+loc buf : int32[256] state={e}
+region V { buf, e }
+allow V : int32 : r,w,o
+allow V : int32[256] : r,w,f,o
+invoke %o0 = buf
+invoke %o3 = n
+constraint n >= 1
+)";
+  CheckReport R = SafetyChecker().checkSource(Asm, Policy);
+  ASSERT_TRUE(R.InputsOk) << R.Diags.str();
+  EXPECT_TRUE(R.Safe) << R.Diags.str();
+
+  SafetyChecker::Options Off;
+  Off.KnownBits = false;
+  EXPECT_FALSE(SafetyChecker(Off).checkSource(Asm, Policy).Safe);
 }
 
 TEST(SafetyFeatures, MisalignedGuardRejectedByLintAndProver) {

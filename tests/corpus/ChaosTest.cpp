@@ -56,11 +56,13 @@ TEST_P(Chaos, FaultsNeverManufactureASafeVerdict) {
     // Every degraded path moves toward Unknown / recompute / inline /
     // InternalError — never toward Safe. A Safe under faults that the
     // fault-free run did not produce would be an unsound degradation.
-    if (Verdict == CheckVerdict::Safe)
+    if (Verdict == CheckVerdict::Safe) {
       EXPECT_EQ(Baseline[Name], CheckVerdict::Safe) << Name;
+    }
     // Likewise a fault must not invent violations.
-    if (Verdict == CheckVerdict::Unsafe)
+    if (Verdict == CheckVerdict::Unsafe) {
       EXPECT_EQ(Baseline[Name], CheckVerdict::Unsafe) << Name;
+    }
   }
 
 #if !defined(MCSAFE_FAULT_INJECTION)
@@ -156,8 +158,9 @@ TEST(Chaos, FaultsComposeWithAStepBudget) {
     Opts.Limits.ProverSteps = 50;
     SafetyChecker Checker(Opts);
     CheckReport R = Checker.checkSource(P.Asm, P.Policy);
-    if (R.Verdict == CheckVerdict::Safe)
+    if (R.Verdict == CheckVerdict::Safe) {
       EXPECT_TRUE(P.ExpectSafe) << P.Name;
+    }
   }
   support::FaultPlan::install(nullptr);
 }

@@ -93,10 +93,12 @@ TEST_P(ServeChaos, WriteFaultsNeverManufactureASafeVerdict) {
     }
     ++Received;
     // Fail-sound in both directions, as in the corpus chaos driver.
-    if (Resp.Report.Verdict == CheckVerdict::Safe)
+    if (Resp.Report.Verdict == CheckVerdict::Safe) {
       EXPECT_EQ(Baseline[P.Name], CheckVerdict::Safe) << P.Name;
-    if (Resp.Report.Verdict == CheckVerdict::Unsafe)
+    }
+    if (Resp.Report.Verdict == CheckVerdict::Unsafe) {
       EXPECT_EQ(Baseline[P.Name], CheckVerdict::Unsafe) << P.Name;
+    }
   }
 
   support::FaultPlan::install(nullptr);
@@ -190,10 +192,12 @@ TEST_P(ServeChaosIsolated, WorkerDeathsNeverManufactureASafeVerdict) {
       EXPECT_FALSE(Resp.Report.Safe) << P.Name;
     }
     // Fail-sound in both directions.
-    if (Resp.Report.Verdict == CheckVerdict::Safe)
+    if (Resp.Report.Verdict == CheckVerdict::Safe) {
       EXPECT_EQ(Baseline[P.Name], CheckVerdict::Safe) << P.Name;
-    if (Resp.Report.Verdict == CheckVerdict::Unsafe)
+    }
+    if (Resp.Report.Verdict == CheckVerdict::Unsafe) {
       EXPECT_EQ(Baseline[P.Name], CheckVerdict::Unsafe) << P.Name;
+    }
   }
   EXPECT_EQ(Received + Dropped, corpus::corpus().size());
 

@@ -99,6 +99,62 @@ TEST(AbstractStore, WideningDropsGrowingBounds) {
   EXPECT_EQ(W.reg(0, O0).S.upper(), 4);
 }
 
+TEST(AbstractStore, WideningDropsCounterBitsAboveTheLowestLostOne) {
+  // A counter stepping by 16 from 0: after {0,16,32} comes {0,...,48}.
+  // Its four low bits stay clear; bit 6 is the lowest bit it lost, so
+  // every known bit above it goes in this one widening instead of one
+  // bit per further iteration.
+  using analysis::KnownBits;
+  AbstractStore Old = AbstractStore::empty();
+  AbstractStore New = AbstractStore::empty();
+  Old.setReg(0, O0, scalar(State::initBits(KnownBits{~0x30u, 0}, 0, 32,
+                                           /*Exact32=*/true)));
+  New.setReg(0, O0, scalar(State::initBits(KnownBits{~0x70u, 0}, 0, 48,
+                                           /*Exact32=*/true)));
+  State W = AbstractStore::widen(Old, New).reg(0, O0).S;
+  EXPECT_EQ(W.bits(), (KnownBits{0xFu, 0}));
+  EXPECT_EQ(W.lower(), 0);
+  EXPECT_FALSE(W.upper().has_value());
+  EXPECT_TRUE(W.pattern32());
+}
+
+TEST(AbstractStore, WideningKeepsStableMaskBits) {
+  // An and-mask with 1020 keeps bits 31..10 and 1..0 clear on every
+  // iteration. Bits that did not move are untouched, even when the
+  // interval beside them widens.
+  using analysis::KnownBits;
+  KnownBits Mask{~1020u, 0};
+  AbstractStore Old = AbstractStore::empty();
+  AbstractStore New = AbstractStore::empty();
+  Old.setReg(0, O1, scalar(State::initBits(Mask, 0, 1020, true)));
+  New.setReg(0, O1, scalar(State::initBits(Mask, 0, 1020, true)));
+  EXPECT_EQ(AbstractStore::widen(Old, New), New);
+
+  Old.setReg(0, O1, scalar(State::initBits(Mask, 0, 16, true)));
+  New.setReg(0, O1, scalar(State::initBits(Mask, 0, 20, true)));
+  State W = AbstractStore::widen(Old, New).reg(0, O1).S;
+  EXPECT_EQ(W.bits(), Mask);
+  EXPECT_FALSE(W.upper().has_value());
+}
+
+TEST(AbstractStore, WidenBitsLowestLostBitRule) {
+  using analysis::KnownBits;
+  // Nothing lost: New is returned as is.
+  EXPECT_EQ(AbstractStore::widenBits({0xF0u, 0x0Fu}, {0xF0u, 0x0Fu}),
+            (KnownBits{0xF0u, 0x0Fu}));
+  // Bit 31 lost: no bit lies above it, so New is kept.
+  EXPECT_EQ(AbstractStore::widenBits({0x80000000u, 1u}, {0, 1u}),
+            (KnownBits{0, 1u}));
+  // Bit 0 lost: everything above it goes.
+  EXPECT_EQ(AbstractStore::widenBits(KnownBits::fromConstant(2),
+                                     {~3u, 2u}),
+            KnownBits::top());
+  // A bit known with the other value counts as lost (bit 2 here).
+  EXPECT_EQ(AbstractStore::widenBits(KnownBits::fromConstant(0),
+                                     KnownBits::fromConstant(4)),
+            (KnownBits{3u, 4u}));
+}
+
 TEST(AbstractStore, LocationsIndependentOfRegisters) {
   AbstractStore S = AbstractStore::empty();
   S.setLoc(3, scalar(State::init()));
