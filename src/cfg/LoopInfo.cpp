@@ -51,7 +51,7 @@ LoopInfo::LoopInfo(const Cfg &G, const DominatorTree &Dom) {
         if (Body.insert(Pred).second)
           Worklist.push_back(Pred);
     }
-    L.Body.assign(Body.begin(), Body.end());
+    L.Body.assign(Body.begin(), Body.end()); // Ascending: contains() bisects.
     Loops.push_back(std::move(L));
   }
 

@@ -20,6 +20,7 @@
 #include "cfg/Cfg.h"
 #include "cfg/Dominators.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,7 @@ namespace cfg {
 /// One natural loop. Loops sharing a header are merged.
 struct Loop {
   NodeId Header = InvalidNode;
-  /// All nodes in the loop, header included.
+  /// All nodes in the loop, header included, strictly ascending.
   std::vector<NodeId> Body;
   /// Sources of the back edges (latches).
   std::vector<NodeId> Latches;
@@ -39,10 +40,7 @@ struct Loop {
   uint32_t Depth = 1;
 
   bool contains(NodeId Id) const {
-    for (NodeId N : Body)
-      if (N == Id)
-        return true;
-    return false;
+    return std::binary_search(Body.begin(), Body.end(), Id);
   }
 };
 

@@ -91,7 +91,8 @@ public:
   /// known bits. A version-3 certificate's cached TypestateNodeVisits and
   /// prover counts no longer match a cold run, and warm report bytes must
   /// equal cold ones.
-  static constexpr uint32_t FormatVersion = 4;
+  /// Version 5: serialized reports carry GlobalVerifyStats::BacksubstSteps.
+  static constexpr uint32_t FormatVersion = 5;
 
   enum class LoadOutcome : uint8_t {
     Hit,     ///< Validated certificate loaded.

@@ -64,6 +64,19 @@ public:
     RpoIndex.assign(Ctx.Graph.size(), UINT32_MAX);
     for (uint32_t I = 0; I < Rpo.size(); ++I)
       RpoIndex[Rpo[I]] = I;
+    // Each loop's reachable nodes in RPO order, so a back-substitution
+    // over one loop walks that loop and nothing else.
+    const std::vector<Loop> &Loops = Ctx.Loops->loops();
+    LoopRpo.resize(Loops.size());
+    for (size_t L = 0; L < Loops.size(); ++L) {
+      for (NodeId N : Loops[L].Body)
+        if (RpoIndex[N] != UINT32_MAX)
+          LoopRpo[L].push_back(N);
+      std::sort(LoopRpo[L].begin(), LoopRpo[L].end(),
+                [this](NodeId A, NodeId B) {
+                  return RpoIndex[A] < RpoIndex[B];
+                });
+    }
     computePureFacts();
   }
 
@@ -181,6 +194,8 @@ private:
 
   std::vector<NodeId> Rpo;
   std::vector<uint32_t> RpoIndex;
+  /// LoopRpo[L]: loop L's reachable nodes in RPO order.
+  std::vector<std::vector<NodeId>> LoopRpo;
 
   /// Entry-context facts that only involve pure symbols, usable as
   /// hypotheses anywhere in the program.
@@ -296,7 +311,8 @@ Verifier::backSubstRegion(int32_t LoopIdx,
 
   // Process region nodes in reverse RPO (a reverse topological order of
   // the region DAG, since the graph is reducible).
-  for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It) {
+  const std::vector<NodeId> &Order = LoopIdx < 0 ? Rpo : LoopRpo[LoopIdx];
+  for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
     NodeId N = *It;
     // Back-substitution is the checker's hottest unbounded loop (its
     // formulas can grow with every node): poll here so deadlines and
@@ -306,8 +322,6 @@ Verifier::backSubstRegion(int32_t LoopIdx,
       Failed = true;
       return Formula::mkFalse();
     }
-    if (!InRegion(N))
-      continue;
     int32_t Unit = unitOf(LoopIdx, N);
 
     if (Unit >= 0) {
@@ -372,12 +386,12 @@ Verifier::backSubstRegion(int32_t LoopIdx,
       // First-arrival seeds (inv.0 checks) attach here, outside the
       // per-iteration synthesis.
       Phi[N] = Formula::conj2(FirstNeedAt(N), UnitEntry);
+      ++Stats.BacksubstSteps;
       continue;
     }
 
     // Direct node of the region.
     std::vector<FormulaRef> Terms;
-    const FormulaRef Seeded = NeedAt(N);
     for (const CfgEdge &E : Ctx.Graph.node(N).Succs) {
       FormulaRef Target;
       if (LoopIdx >= 0 && E.To == loop(LoopIdx).Header &&
@@ -397,10 +411,15 @@ Verifier::backSubstRegion(int32_t LoopIdx,
         continue;
       Terms.push_back(Formula::implies(Wlp.edgeCondition(E), Target));
     }
+    FormulaRef Seeded = Formula::conj2(NeedAt(N), FirstNeedAt(N));
+    // Nothing is required after N and nothing is seeded at it: its phi is
+    // True, which an absent entry already reads as.
+    if (Terms.empty() && Seeded->isTrue())
+      continue;
+    ++Stats.BacksubstSteps;
     FormulaRef Post = Formula::conj(std::move(Terms));
-    FormulaRef Before = Formula::conj2(
-        Formula::conj2(Seeded, FirstNeedAt(N)),
-        Wlp.transformNode(N, Post));
+    FormulaRef Before =
+        Formula::conj2(std::move(Seeded), Wlp.transformNode(N, Post));
     if (Opts.SimplifyAtJunctions && Ctx.Graph.node(N).Preds.size() != 1)
       Before = simplify(Before);
     if (Before->size() > Opts.MaxFormulaSize) {

@@ -113,6 +113,9 @@ struct GlobalVerifyStats {
   /// Verification conditions discharged speculatively on the thread pool
   /// (their results are consumed through the shared prover cache).
   uint64_t SpeculativeQueries = 0;
+  /// Nodes whose back-substitution formula was computed, summed over
+  /// every region walk (machine-independent; pinned per corpus program).
+  uint64_t BacksubstSteps = 0;
 };
 
 /// Runs phase 5 over the annotation result. Unproved obligations are

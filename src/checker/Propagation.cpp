@@ -1017,8 +1017,11 @@ checker::propagate(const CheckContext &Ctx,
       for (const CfgEdge &Edge : Ctx.Graph.node(Pred).Succs) {
         if (Edge.To != Id)
           continue;
-        NewIn = AbstractStore::meet(NewIn,
-                                    refineEdge(Ctx, PredOut, Edge));
+        // Top is meet's identity: the first arriving store is taken
+        // as is rather than copied through meet.
+        AbstractStore Arriving = refineEdge(Ctx, PredOut, Edge);
+        NewIn = NewIn.isTop() ? std::move(Arriving)
+                              : AbstractStore::meet(NewIn, Arriving);
       }
     }
     if (NewIn.isTop())
@@ -1055,8 +1058,8 @@ checker::propagate(const CheckContext &Ctx,
           NewIn.setReg(Depth, R, std::move(Refined));
         });
     }
-    Result.In[Id] = NewIn;
     AbstractStore NewOut = transfer(Ctx, Id, NewIn);
+    Result.In[Id] = std::move(NewIn);
     if (NewOut != Result.Out[Id]) {
       Result.Out[Id] = std::move(NewOut);
       for (const CfgEdge &Edge : Ctx.Graph.node(Id).Succs)

@@ -74,6 +74,7 @@ void checker::serializeCheckReport(ByteWriter &W, const CheckReport &Rep) {
   W.u64(G.IterationsRun);
   W.u64(G.GeneralizationsTried);
   W.u64(G.SpeculativeQueries);
+  W.u64(G.BacksubstSteps);
 
   const Prover::Stats &P = Rep.ProverStats;
   W.u64(P.ValidityQueries);
@@ -180,6 +181,7 @@ bool checker::deserializeCheckReport(ByteReader &R, CheckReport &Rep) {
   G.IterationsRun = R.u64();
   G.GeneralizationsTried = R.u64();
   G.SpeculativeQueries = R.u64();
+  G.BacksubstSteps = R.u64();
 
   Prover::Stats &P = Rep.ProverStats;
   P.ValidityQueries = R.u64();

@@ -69,6 +69,7 @@ void publishCounters(support::MetricsRegistry &Reg, const std::string &Scope,
   Put("global/iterations_run", Report.Global.IterationsRun);
   Put("global/generalizations_tried", Report.Global.GeneralizationsTried);
   Put("global/speculative_queries", Report.Global.SpeculativeQueries);
+  Put("global/backsubst_steps", Report.Global.BacksubstSteps);
   Put("prover/validity_queries", Report.ProverStats.ValidityQueries);
   Put("prover/sat_queries", Report.ProverStats.SatQueries);
   Put("prover/cache_hits", Report.ProverStats.CacheHits);

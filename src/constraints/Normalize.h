@@ -37,12 +37,14 @@ struct DnfResult {
   /// A Forall quantifier was replaced by a free variable (Sat answers may
   /// be spurious; Unsat answers remain exact).
   bool ApproximatedForall = false;
-  /// The blowup budget was exceeded; the result is unusable.
+  /// The blowup budget was exceeded; Disjuncts is then empty and
+  /// unusable. Decided before any disjunct is built.
   bool BudgetExceeded = false;
 };
 
 /// Converts to DNF. \p MaxDisjuncts bounds the number of disjuncts and
-/// \p MaxAtoms the atoms per disjunct.
+/// \p MaxAtoms the atoms per disjunct (of the final DNF and of every
+/// partial one met while expanding, conjuncts left to right).
 DnfResult toDNF(const FormulaRef &F, size_t MaxDisjuncts = 1024,
                 size_t MaxAtoms = 512);
 

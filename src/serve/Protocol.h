@@ -53,8 +53,9 @@ namespace serve {
 /// range in serialized reports. Version 3: prover stats in serialized
 /// reports carry the query-slicing counters. Version 4: the tiers and
 /// slicing request flags (bits 2 and 5) are retired, and prover stats
-/// drop the equality pre-pass counter.
-inline constexpr uint8_t ProtocolVersion = 4;
+/// drop the equality pre-pass counter. Version 5: global-verification
+/// stats carry the back-substitution step count.
+inline constexpr uint8_t ProtocolVersion = 5;
 
 inline constexpr char FrameMagic[4] = {'M', 'S', 'R', 'V'};
 inline constexpr size_t FrameHeaderSize = 18;

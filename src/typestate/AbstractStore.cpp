@@ -2,6 +2,7 @@
 
 #include "typestate/AbstractStore.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <sstream>
@@ -20,19 +21,33 @@ const Typestate &AbstractStore::defaultTypestate() {
   return Default;
 }
 
+std::vector<AbstractStore::Entry>::const_iterator
+AbstractStore::lowerBound(Key K) const {
+  return std::lower_bound(
+      Entries.begin(), Entries.end(), K,
+      [](const Entry &E, Key Wanted) { return E.first < Wanted; });
+}
+
 Typestate AbstractStore::get(Key K) const {
   assert(!Top && "reading from the Top store");
-  auto It = Entries.find(K);
-  return It == Entries.end() ? defaultTypestate() : It->second;
+  auto It = lowerBound(K);
+  return It == Entries.end() || It->first != K ? defaultTypestate()
+                                                : It->second;
 }
 
 void AbstractStore::set(Key K, Typestate Ts) {
   assert(!Top && "writing to the Top store");
+  auto It = Entries.begin() + (lowerBound(K) - Entries.cbegin());
+  bool Present = It != Entries.end() && It->first == K;
   if (Ts == defaultTypestate()) {
-    Entries.erase(K); // Keep the map normalized for operator==.
+    if (Present)
+      Entries.erase(It); // Keep the store normalized for operator==.
     return;
   }
-  Entries[K] = std::move(Ts);
+  if (Present)
+    It->second = std::move(Ts);
+  else
+    Entries.emplace(It, K, std::move(Ts));
 }
 
 Typestate AbstractStore::reg(int32_t Depth, sparc::Reg R) const {
@@ -72,10 +87,13 @@ AbstractStore AbstractStore::meet(const AbstractStore &A,
   if (A.CmpOrigin && B.CmpOrigin && *A.CmpOrigin == *B.CmpOrigin)
     Result.CmpOrigin = A.CmpOrigin;
   // Pointwise meet over the union of keys; absent entries are the default
-  // typestate.
+  // typestate. Keys arrive ascending, so entries append in order.
+  Result.Entries.reserve(std::max(A.Entries.size(), B.Entries.size()));
   auto ItA = A.Entries.begin(), ItB = B.Entries.begin();
   auto MeetInto = [&Result](Key K, const Typestate &X, const Typestate &Y) {
-    Result.set(K, Typestate::meet(X, Y));
+    Typestate M = Typestate::meet(X, Y);
+    if (M != defaultTypestate())
+      Result.Entries.emplace_back(K, std::move(M));
   };
   while (ItA != A.Entries.end() || ItB != B.Entries.end()) {
     if (ItB == B.Entries.end() ||
@@ -117,8 +135,9 @@ AbstractStore AbstractStore::widen(const AbstractStore &Old,
   for (auto &[K, Ts] : Result.Entries) {
     if (!Ts.S.isInit())
       continue;
-    auto OldIt = Old.Entries.find(K);
-    if (OldIt == Old.Entries.end() || !OldIt->second.S.isInit())
+    auto OldIt = Old.lowerBound(K);
+    if (OldIt == Old.Entries.end() || OldIt->first != K ||
+        !OldIt->second.S.isInit())
       continue;
     const State &OldS = OldIt->second.S;
     std::optional<int64_t> Lo = Ts.S.lower();

@@ -27,7 +27,8 @@
 #include "sparc/Registers.h"
 #include "typestate/Typestate.h"
 
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace mcsafe {
 namespace typestate {
@@ -96,7 +97,9 @@ public:
                                        analysis::KnownBits New);
 
   /// Visits every explicitly-tracked register entry as
-  /// fn(depth, reg, typestate).
+  /// fn(depth, reg, typestate), in ascending key order. \p F may set the
+  /// visited register to a non-default typestate (an in-place overwrite),
+  /// but must not add or remove entries.
   template <typename Fn> void forEachReg(Fn F) const {
     for (const auto &[K, Ts] : Entries)
       if (K >= 0)
@@ -109,18 +112,16 @@ public:
   /// Dropped entries read as the default typestate afterwards. Used to
   /// discard registers liveness proved dead.
   template <typename Fn> void pruneRegs(Fn Keep) {
-    for (auto It = Entries.begin(); It != Entries.end();) {
-      if (It->first >= 0 &&
-          !Keep(static_cast<int32_t>(It->first >> 8),
-                sparc::Reg(static_cast<uint8_t>(It->first & 0xFF)),
-                It->second))
-        It = Entries.erase(It);
-      else
-        ++It;
-    }
+    std::erase_if(Entries, [&Keep](const Entry &E) {
+      return E.first >= 0 &&
+             !Keep(static_cast<int32_t>(E.first >> 8),
+                   sparc::Reg(static_cast<uint8_t>(E.first & 0xFF)),
+                   E.second);
+    });
   }
 
-  /// Visits every explicitly-tracked memory location as fn(id, typestate).
+  /// Visits every explicitly-tracked memory location as fn(id, typestate),
+  /// in ascending key order (descending AbsLocId).
   template <typename Fn> void forEachLoc(Fn F) const {
     for (const auto &[K, Ts] : Entries)
       if (K < -1)
@@ -152,11 +153,18 @@ private:
   static constexpr Key IccKey = -1;
   static Key locKey(AbsLocId Id) { return -2 - static_cast<Key>(Id); }
 
+  using Entry = std::pair<Key, Typestate>;
+  /// The first entry whose key is not below \p K.
+  std::vector<Entry>::const_iterator lowerBound(Key K) const;
+
   Typestate get(Key K) const;
   void set(Key K, Typestate Ts);
 
   bool Top;
-  std::map<Key, Typestate> Entries;
+  /// Strictly ascending by key; default typestates are never stored, so
+  /// equal stores have equal vectors. A flat vector copies in one
+  /// allocation, and the fixpoint copies stores on every visit.
+  std::vector<Entry> Entries;
   std::optional<IccOrigin> CmpOrigin;
 };
 

@@ -1,9 +1,13 @@
 //===- LoopInfoTest.cpp ---------------------------------------------------===//
 
 #include "cfg/LoopInfo.h"
+#include "corpus/Corpus.h"
 #include "sparc/AsmParser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 using namespace mcsafe;
 using namespace mcsafe::cfg;
@@ -160,6 +164,42 @@ TEST(LoopInfo, InnermostLoopOfOutsideNodeIsNone) {
   )");
   EXPECT_EQ(B->Loops->innermostLoop(B->G->entry()), -1);
   EXPECT_EQ(B->Loops->innermostLoop(B->G->exit()), -1);
+}
+
+TEST(LoopInfo, CorpusBodiesAscendAndContainsMatchesLinearScan) {
+  // contains() bisects Body, which is only right while Body stays
+  // strictly ascending; check both on every corpus program's CFG (built
+  // as the checker builds it) against a plain linear scan.
+  size_t LoopsSeen = 0, PairsChecked = 0;
+  for (const corpus::CorpusProgram &P : corpus::corpus()) {
+    std::string Error;
+    std::optional<Module> M = assemble(P.Asm, &Error);
+    ASSERT_TRUE(M.has_value()) << P.Name << ": " << Error;
+    DiagnosticEngine Diags;
+    std::optional<Cfg> G = Cfg::build(*M, Diags);
+    ASSERT_TRUE(G.has_value()) << P.Name << ": " << Diags.str();
+    DominatorTree Dom(*G);
+    LoopInfo Loops(*G, Dom);
+    for (const Loop &L : Loops.loops()) {
+      ++LoopsSeen;
+      EXPECT_EQ(std::adjacent_find(L.Body.begin(), L.Body.end(),
+                                   std::greater_equal<NodeId>()),
+                L.Body.end())
+          << P.Name << ": loop at node " << L.Header
+          << " has a body that is not strictly ascending";
+      for (NodeId N = 0; N < G->size(); ++N) {
+        bool Linear =
+            std::find(L.Body.begin(), L.Body.end(), N) != L.Body.end();
+        EXPECT_EQ(L.contains(N), Linear)
+            << P.Name << ": loop at node " << L.Header << ", node " << N;
+        ++PairsChecked;
+      }
+    }
+  }
+  // The corpus has loops (MD5, the sorts, the B-tree searches); an empty
+  // sweep would prove nothing.
+  EXPECT_GT(LoopsSeen, 10u);
+  EXPECT_GT(PairsChecked, 1000u);
 }
 
 } // namespace

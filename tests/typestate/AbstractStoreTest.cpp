@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 using namespace mcsafe;
 using namespace mcsafe::typestate;
 using namespace mcsafe::sparc;
@@ -50,6 +53,21 @@ TEST(AbstractStore, SettingDefaultErases) {
   A.setReg(0, O1, scalar(State::init()));
   A.setReg(0, O1, AbstractStore::defaultTypestate());
   EXPECT_EQ(A, B); // Normalized maps compare equal.
+
+  // Registers at any depth, icc and memory locations share one sorted
+  // entry list; each leaves no trace when reset to the default.
+  A.setReg(0, O2, scalar(State::initConst(1)));
+  A.setReg(3, Reg(20), scalar(State::init()));
+  A.setIcc(scalar(State::init()));
+  A.setLoc(5, scalar(State::init()));
+  A.setReg(3, Reg(20), AbstractStore::defaultTypestate());
+  A.setIcc(AbstractStore::defaultTypestate());
+  A.setLoc(5, AbstractStore::defaultTypestate());
+  B.setReg(0, O2, scalar(State::initConst(1)));
+  EXPECT_EQ(A, B);
+  A.setReg(0, O2, AbstractStore::defaultTypestate());
+  EXPECT_EQ(A, AbstractStore::empty());
+  EXPECT_EQ(A.str(), "");
 }
 
 TEST(AbstractStore, GlobalsSharedAcrossDepths) {
@@ -71,6 +89,43 @@ TEST(AbstractStore, MeetIsPointwise) {
   AbstractStore M = AbstractStore::meet(A, B);
   EXPECT_EQ(M.reg(0, O0).S.constant(), 1);
   EXPECT_TRUE(M.reg(0, O1).S.isBottom());
+
+  // Overlapping key sets of every kind: each key of the union holds the
+  // meet of its two sides (absent means default), and nothing else is
+  // stored.
+  const Typestate &Def = AbstractStore::defaultTypestate();
+  AbstractStore P = AbstractStore::empty();
+  AbstractStore Q = AbstractStore::empty();
+  P.setReg(0, O0, scalar(State::initConst(1)));   // P only.
+  P.setReg(0, O1, scalar(State::initRange(0, 4))); // Both.
+  Q.setReg(0, O1, scalar(State::initRange(2, 9)));
+  Q.setReg(0, O2, scalar(State::initConst(5)));   // Q only.
+  P.setLoc(3, scalar(State::initConst(8)));       // Both, equal.
+  Q.setLoc(3, scalar(State::initConst(8)));
+  Q.setIcc(scalar(State::init()));                 // Q only.
+  AbstractStore PQ = AbstractStore::meet(P, Q);
+  EXPECT_EQ(PQ, AbstractStore::meet(Q, P));
+  EXPECT_EQ(PQ.reg(0, O0), Typestate::meet(P.reg(0, O0), Def));
+  EXPECT_EQ(PQ.reg(0, O1), Typestate::meet(P.reg(0, O1), Q.reg(0, O1)));
+  EXPECT_EQ(PQ.reg(0, O2), Typestate::meet(Def, Q.reg(0, O2)));
+  EXPECT_EQ(PQ.loc(3).S.constant(), 8);
+  EXPECT_EQ(PQ.icc(), Typestate::meet(Def, Q.icc()));
+  AbstractStore Expected = AbstractStore::empty();
+  Expected.setReg(0, O0, PQ.reg(0, O0));
+  Expected.setReg(0, O1, PQ.reg(0, O1));
+  Expected.setReg(0, O2, PQ.reg(0, O2));
+  Expected.setLoc(3, PQ.loc(3));
+  Expected.setIcc(PQ.icc());
+  EXPECT_EQ(PQ, Expected);
+
+  // Disjoint key sets.
+  AbstractStore C = AbstractStore::empty();
+  AbstractStore D = AbstractStore::empty();
+  C.setReg(0, L0, scalar(State::initConst(1)));
+  D.setLoc(1, scalar(State::initConst(2)));
+  AbstractStore CD = AbstractStore::meet(C, D);
+  EXPECT_EQ(CD.reg(0, L0), Typestate::meet(C.reg(0, L0), Def));
+  EXPECT_EQ(CD.loc(1), Typestate::meet(Def, D.loc(1)));
 }
 
 TEST(AbstractStore, IccOriginSurvivesEqualMeet) {
@@ -180,12 +235,64 @@ TEST(AbstractStore, ForEachRegVisitsEntries) {
   EXPECT_EQ(Locs, 1u);
 }
 
+TEST(AbstractStore, ForEachVisitsInAscendingKeyOrder) {
+  AbstractStore S = AbstractStore::empty();
+  // Inserted out of order, across depths, globals and locations.
+  S.setReg(2, Reg(17), scalar(State::initConst(21)));
+  S.setLoc(4, scalar(State::initConst(4)));
+  S.setReg(0, O3, scalar(State::initConst(3)));
+  S.setReg(1, I0, scalar(State::initConst(10)));
+  S.setLoc(11, scalar(State::initConst(11)));
+  S.setReg(0, Reg(2), scalar(State::initConst(2))); // %g2
+  S.setLoc(0, scalar(State::initConst(0)));
+  S.setReg(2, O0, scalar(State::initConst(20)));
+  std::vector<std::pair<int32_t, unsigned>> Regs;
+  S.forEachReg([&](int32_t Depth, Reg R, const Typestate &) {
+    Regs.emplace_back(Depth, R.number());
+  });
+  std::vector<std::pair<int32_t, unsigned>> WantRegs = {
+      {0, Reg(2).number()}, {0, O3.number()}, {1, I0.number()},
+      {2, O0.number()},     {2, Reg(17).number()}};
+  EXPECT_EQ(Regs, WantRegs);
+  // Memory keys are -(2 + id): ascending keys visit descending ids.
+  std::vector<AbsLocId> Locs;
+  S.forEachLoc([&](AbsLocId Id, const Typestate &) { Locs.push_back(Id); });
+  EXPECT_EQ(Locs, (std::vector<AbsLocId>{11, 4, 0}));
+  // Every write is readable back through the flat representation.
+  EXPECT_EQ(S.reg(2, Reg(17)).S.constant(), 21);
+  EXPECT_EQ(S.loc(4).S.constant(), 4);
+  EXPECT_EQ(S.reg(5, Reg(2)).S.constant(), 2);
+}
+
 TEST(AbstractStore, StrRendersDepthsAndNames) {
   AbstractStore S = AbstractStore::empty();
   S.setReg(1, L0, scalar(State::initConst(3)));
   std::string Out = S.str();
   EXPECT_NE(Out.find("w1.%l0"), std::string::npos);
   EXPECT_NE(Out.find("init(3)"), std::string::npos);
+}
+
+TEST(AbstractStore, PruneRegsNeverDropsIccOrMemory) {
+  AbstractStore S = AbstractStore::empty();
+  S.setReg(0, O0, scalar(State::initConst(1)));
+  S.setReg(1, Reg(18), scalar(State::initConst(2)));
+  S.setIcc(scalar(State::init()));
+  S.setLoc(7, scalar(State::initConst(7)));
+  unsigned Asked = 0;
+  S.pruneRegs([&](int32_t Depth, Reg R, const Typestate &) {
+    ++Asked;
+    return Depth == 1 && R == Reg(18); // Keep only w1.%l2.
+  });
+  EXPECT_EQ(Asked, 2u); // Only register entries are offered.
+  EXPECT_TRUE(S.reg(0, O0).S.isBottom());
+  EXPECT_EQ(S.reg(1, Reg(18)).S.constant(), 2);
+  EXPECT_TRUE(S.icc().S.isInit());
+  EXPECT_EQ(S.loc(7).S.constant(), 7);
+  S.pruneRegs([](int32_t, Reg, const Typestate &) { return false; });
+  AbstractStore Want = AbstractStore::empty();
+  Want.setIcc(scalar(State::init()));
+  Want.setLoc(7, scalar(State::initConst(7)));
+  EXPECT_EQ(S, Want);
 }
 
 } // namespace

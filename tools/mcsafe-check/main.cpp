@@ -70,8 +70,10 @@ void usage() {
       "       mcsafe-check --list-corpus\n"
       "options:\n"
       "  -v             verbose: listing + conditions + statistics\n"
+      "                 (statistics only with --corpus all)\n"
       "  --listing      print the per-instruction typestates (Figure 6)\n"
       "  --conditions   print the global safety preconditions (Figure 3)\n"
+      "                 (--listing and --conditions need one program)\n"
       "  --lint-only    run only the phase-0 dataflow lint\n"
       "  --no-lint      disable the phase-0 lint (and dead-reg pruning)\n"
       "  --jobs N       verify with N worker threads (default: hardware\n"
@@ -593,6 +595,9 @@ int runConnectCorpusAll(serve::Client &Conn, LintMode Lint,
 
 int main(int argc, char **argv) {
   bool Listing = false, Conditions = false, Stats = false;
+  // The flag that asked for a per-program view, for the usage error when
+  // --corpus all cannot render it (-v there means statistics only).
+  const char *PerProgramFlag = nullptr;
   LintMode Lint = LintMode::On;
   std::string CorpusName;
   std::vector<std::string> Files;
@@ -724,8 +729,10 @@ int main(int argc, char **argv) {
       Listing = Conditions = Stats = true;
     } else if (Arg == "--listing") {
       Listing = true;
+      PerProgramFlag = "--listing";
     } else if (Arg == "--conditions") {
       Conditions = true;
+      PerProgramFlag = "--conditions";
     } else if (Arg == "--lint-only") {
       Lint = LintMode::Only;
     } else if (Arg == "--no-lint") {
@@ -862,8 +869,16 @@ int main(int argc, char **argv) {
                               std::move(*Policy), Lint, Gov);
     }
     if (!CorpusName.empty()) {
-      if (CorpusName == "all")
+      if (CorpusName == "all") {
+        if (PerProgramFlag) {
+          std::fprintf(stderr,
+                       "%s is not available with --corpus all; use "
+                       "--corpus <name>\n",
+                       PerProgramFlag);
+          return 2;
+        }
         return runCorpusAll(Stats, Lint, Jobs, Gov, Obs, Certs.get());
+      }
       for (const corpus::CorpusProgram &P : corpus::corpus())
         if (P.Name == CorpusName)
           return runCheck(P.Asm, P.Policy, Listing, Conditions, Stats,
