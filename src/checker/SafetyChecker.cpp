@@ -384,8 +384,13 @@ CheckReport SafetyChecker::checkWithCerts(std::string_view Asm,
   Certificate Cert;
   if (Opts.Certs->load(Key, Asm, PolicyText, Config, Cert) ==
       CertStore::LoadOutcome::Hit) {
-    if (revalidateCertificate(Cert, Opts))
+    if (revalidateCertificate(Cert, Opts)) {
+      // The replayed report carries the cold run's work counters; its
+      // phase timers measured that run, so none are published here.
+      if (Opts.Metrics)
+        publishCounters(*Opts.Metrics, Opts.MetricScope, Cert.Report);
       return std::move(Cert.Report);
+    }
     Opts.Certs->noteRevalidationFailure();
   }
 

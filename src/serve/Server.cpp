@@ -9,8 +9,10 @@
 #include "support/Io.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include <fcntl.h>
@@ -21,16 +23,23 @@
 
 using namespace mcsafe;
 using namespace mcsafe::serve;
-using checker::CheckFailure;
 using checker::CheckPhase;
-using checker::CheckReport;
 using checker::CheckVerdict;
 using checker::FailureKind;
 
-Server::Conn::~Conn() {
-  if (Fd >= 0)
-    support::closeFd(Fd);
-}
+namespace {
+
+/// A connection with more unsent bytes than this is not read again until
+/// its client drains them. Bounds what a client that never reads can
+/// make the server hold: this, plus the responses to its admitted
+/// requests.
+constexpr size_t MaxUnsentBytes = size_t(1) << 20;
+
+/// How long clients get to read their last responses once every admitted
+/// check has finished during shutdown.
+constexpr std::chrono::seconds DrainGrace(5);
+
+} // namespace
 
 Server::Server(ServerOptions O) : Opts(std::move(O)) {
   NJobs = Opts.Jobs ? Opts.Jobs : support::ThreadPool::hardwareConcurrency();
@@ -53,48 +62,45 @@ bool Server::start(std::string &Error) {
     Error = "server already started";
     return false;
   }
+  // Every failure below closes whatever was opened before it.
+  auto Fail = [&](std::string Why) {
+    Error = std::move(Why);
+    for (int *Fd : {&ListenFd, &WakeRd, &WakeWr})
+      if (*Fd >= 0) {
+        support::closeFd(*Fd);
+        *Fd = -1;
+      }
+    return false;
+  };
 
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
   if (Opts.SocketPath.empty() ||
-      Opts.SocketPath.size() >= sizeof(Addr.sun_path)) {
-    Error = "socket path '" + Opts.SocketPath + "' is empty or too long";
-    return false;
-  }
+      Opts.SocketPath.size() >= sizeof(Addr.sun_path))
+    return Fail("socket path '" + Opts.SocketPath + "' is empty or too long");
   std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
               Opts.SocketPath.size() + 1);
 
+  // Non-blocking both ends: a wake-up never blocks a pool thread or a
+  // signal handler, and the loop drains the pipe without blocking.
   int Pipe[2];
-  if (::pipe(Pipe) != 0) {
-    Error = std::string("pipe: ") + std::strerror(errno);
-    return false;
-  }
+  if (::pipe2(Pipe, O_NONBLOCK | O_CLOEXEC) != 0)
+    return Fail(std::string("pipe: ") + std::strerror(errno));
   WakeRd = Pipe[0];
   WakeWr = Pipe[1];
 
-  ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (ListenFd < 0) {
-    Error = std::string("socket: ") + std::strerror(errno);
-    support::closeFd(WakeRd);
-    support::closeFd(WakeWr);
-    WakeRd = WakeWr = -1;
-    return false;
-  }
+  ListenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (ListenFd < 0)
+    return Fail(std::string("socket: ") + std::strerror(errno));
   // A stale socket file from a previous (dead) server blocks bind();
   // replacing it is the standard Unix-daemon move. A *live* server on
   // the same path loses its socket — callers pick unique paths.
   ::unlink(Opts.SocketPath.c_str());
   if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
              sizeof(Addr)) != 0 ||
-      ::listen(ListenFd, 64) != 0) {
-    Error = "cannot listen on '" + Opts.SocketPath +
-            "': " + std::strerror(errno);
-    support::closeFd(ListenFd);
-    support::closeFd(WakeRd);
-    support::closeFd(WakeWr);
-    ListenFd = WakeRd = WakeWr = -1;
-    return false;
-  }
+      ::listen(ListenFd, 64) != 0)
+    return Fail("cannot listen on '" + Opts.SocketPath +
+                "': " + std::strerror(errno));
 
   if (Opts.IsolateWorkers) {
     // Checks run in forked workers; the parent deliberately opens no
@@ -112,14 +118,9 @@ bool Server::start(std::string &Error) {
     Workers = std::make_unique<WorkerPool>(std::move(W));
     // Fork the initial workers before any other daemon thread exists.
     if (!Workers->start(Error)) {
-      Error = "worker pool: " + Error;
       Workers.reset();
-      support::closeFd(ListenFd);
-      support::closeFd(WakeRd);
-      support::closeFd(WakeWr);
-      ListenFd = WakeRd = WakeWr = -1;
       ::unlink(Opts.SocketPath.c_str());
-      return false;
+      return Fail("worker pool: " + Error);
     }
   } else {
     ProverCache::Config CacheCfg;
@@ -138,347 +139,341 @@ bool Server::start(std::string &Error) {
 
   Running.store(true, std::memory_order_release);
   Started = true;
-  AcceptThread = std::thread([this] { acceptLoop(); });
-  DispatchThread = std::thread([this] { dispatchLoop(); });
+  LoopThread = std::thread([this] { loop(); });
   return true;
+}
+
+void Server::wake() {
+  // A full pipe already holds a wake-up, so EAGAIN loses nothing.
+  char B = 1;
+  if (WakeWr >= 0)
+    (void)support::retryEintr([&] { return ::write(WakeWr, &B, 1); });
 }
 
 void Server::requestStop() {
   // Only async-signal-safe operations here: this runs straight from the
   // daemon's SIGINT/SIGTERM handler.
   Running.store(false, std::memory_order_release);
-  if (WakeWr >= 0) {
-    char B = 1;
-    (void)support::retryEintr([&] { return ::write(WakeWr, &B, 1); });
-  }
+  wake();
 }
 
 void Server::wait() {
   if (!Started)
     return;
-  // Graceful drain ordering: the accept epilogue shuts down only the
-  // *read* side of every connection, the dispatcher answers everything
-  // still queued with a shed UNKNOWN, and the pool drain lets in-flight
-  // checks finish and send their real responses — every admitted
-  // request is answered before any write side closes.
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-  if (DispatchThread.joinable())
-    DispatchThread.join();
+  // The loop returns only after every admitted request is answered, so
+  // the pool is idle by then.
+  LoopThread.join();
   Pool.reset();
   if (Workers) {
     Workers->stop();
     Workers.reset();
   }
-  // The dispatcher and pool have answered everything they admitted, but
-  // a reader may still be draining its receive buffer: requests that
-  // were on the wire at shutdown get their shed responses from the
-  // reader itself, and closing the write side now would race those
-  // sends. Wait for every reader to finish — bounded, so one client
-  // that pipelines requests and never reads its responses cannot wedge
-  // shutdown (its connection is severed below; a visible reset, not a
-  // silent drop).
-  {
-    std::unique_lock<std::mutex> Lock(Mu);
-    CvReaders.wait_for(Lock, std::chrono::seconds(5), [&] {
-      for (const std::shared_ptr<Conn> &C : Conns)
-        if (!C->ReaderDone.load(std::memory_order_acquire))
-          return false;
-      return true;
-    });
-  }
-  // All responses are on the wire; now close the write sides so clients
-  // see EOF, and join the readers without holding Mu (a reader between
-  // its recv and its admission check briefly takes Mu itself).
-  std::vector<std::shared_ptr<Conn>> Remaining;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Remaining.swap(Conns);
-    Ring.clear();
-    TotalPending = 0;
-  }
-  for (const std::shared_ptr<Conn> &C : Remaining) {
-    C->Dead.store(true, std::memory_order_release);
-    ::shutdown(C->Fd, SHUT_RDWR);
-  }
-  for (const std::shared_ptr<Conn> &C : Remaining)
-    if (C->Reader.joinable())
-      C->Reader.join();
-  Remaining.clear();
   if (Certs && Opts.Metrics)
     Certs->publish(*Opts.Metrics);
   Certs.reset();
-  if (WakeRd >= 0) {
-    support::closeFd(WakeRd);
-    support::closeFd(WakeWr);
-    WakeRd = WakeWr = -1;
-  }
+  support::closeFd(WakeRd);
+  support::closeFd(WakeWr);
+  WakeRd = WakeWr = -1;
   Started = false;
 }
 
-void Server::reapDoneConns() {
-  // Reapable connections leave Conns under Mu, but their readers are
-  // joined only after Mu is released: a reader that has set ReaderDone
-  // still takes Mu once on its way out (see readerLoop), so joining it
-  // under the lock would deadlock the accept thread.
-  std::vector<std::shared_ptr<Conn>> Done;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (size_t I = 0; I < Conns.size();) {
-      std::shared_ptr<Conn> &C = Conns[I];
-      // A connection is reapable once its reader exited and the
-      // dispatcher holds none of its requests. Pool tasks may still hold
-      // the shared_ptr; the struct lives until they drop it.
-      if (C->ReaderDone.load(std::memory_order_acquire) && !C->InRing &&
-          C->Queue.empty()) {
-        Done.push_back(std::move(C));
-        Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(I));
+void Server::loop() {
+  using Clock = std::chrono::steady_clock;
+  std::optional<Clock::time_point> DrainDeadline;
+  std::vector<pollfd> Fds;
+  while (true) {
+    if (!Stopping && !Running.load(std::memory_order_acquire))
+      beginDrain();
+    if (Stopping && Active == 0) {
+      // Every admitted check is answered. Clients get a bounded time to
+      // read what is still buffered for them, so one that never reads
+      // cannot wedge shutdown (its connection is then closed: a visible
+      // reset, not a silent drop).
+      if (Conns.empty())
+        break;
+      if (!DrainDeadline)
+        DrainDeadline = Clock::now() + DrainGrace;
+      else if (Clock::now() >= *DrainDeadline)
+        break;
+    }
+
+    Fds.assign(1, {WakeRd, POLLIN, 0});
+    if (ListenFd >= 0)
+      Fds.push_back({ListenFd, POLLIN, 0});
+    for (auto &[Id, C] : Conns) {
+      short Events = C.Out.empty() ? 0 : POLLOUT;
+      if (C.Reading && C.Out.size() <= MaxUnsentBytes)
+        Events |= POLLIN;
+      Fds.push_back({C.Fd, Events, 0});
+    }
+    // While draining, wake up now and then to check the deadline.
+    int Timeout = DrainDeadline ? 100 : -1;
+    if (support::retryEintr([&] {
+          return ::poll(Fds.data(), Fds.size(), Timeout);
+        }) < 0)
+      break;
+
+    char Drain[256];
+    if (Fds[0].revents & POLLIN)
+      while (::read(WakeRd, Drain, sizeof(Drain)) > 0) {
+      }
+    takeCompletions();
+    // Conns still matches the tail of Fds: nothing is added or removed
+    // until the accept and the close sweep below.
+    size_t I = Fds.size() - Conns.size();
+    for (auto &[Id, C] : Conns) {
+      short Re = Fds[I++].revents;
+      if (Re & POLLIN)
+        readConn(C);
+      else if (Re & (POLLERR | POLLHUP | POLLNVAL))
+        C.Dead = true; // Not reading, and the peer is gone.
+    }
+    if (ListenFd >= 0 && (Fds[1].revents & POLLIN))
+      acceptConns();
+    for (auto It = Conns.begin(); It != Conns.end();) {
+      Conn &C = It->second;
+      flushConn(C);
+      // Dead, or EOF with nothing more owed: close.
+      if (C.Dead || (!C.Reading && C.Queue.empty() && C.InFlight == 0 &&
+                     C.Out.empty())) {
+        TotalPending -= C.Queue.size();
+        closeConnFd(C.Fd);
+        It = Conns.erase(It);
       } else {
-        ++I;
+        ++It;
       }
     }
+    dispatch();
   }
-  for (const std::shared_ptr<Conn> &C : Done)
-    if (C->Reader.joinable())
-      C->Reader.join();
+
+  if (!Stopping)
+    beginDrain(); // poll() failed; stop listening all the same.
+  for (auto &[Id, C] : Conns)
+    closeConnFd(C.Fd);
+  Conns.clear();
 }
 
-void Server::acceptLoop() {
-  while (Running.load(std::memory_order_acquire)) {
-    pollfd Fds[2];
-    Fds[0] = {ListenFd, POLLIN, 0};
-    Fds[1] = {WakeRd, POLLIN, 0};
-    int N = static_cast<int>(
-        support::retryEintr([&] { return ::poll(Fds, 2, 500); }));
-    if (N < 0)
-      break;
-    if (Fds[1].revents & POLLIN)
-      break; // requestStop() wrote the wake byte.
-    reapDoneConns();
-    if (!(Fds[0].revents & POLLIN))
-      continue;
-    int Fd = static_cast<int>(support::retryEintr(
-        [&] { return ::accept(ListenFd, nullptr, nullptr); }));
-    if (Fd < 0)
-      continue;
-    auto C = std::make_shared<Conn>();
-    C->Fd = Fd;
-    bumpCounter("serve/connections");
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      C->Id = NextConnId++;
-      Conns.push_back(C);
-    }
-    C->Reader = std::thread([this, C] { readerLoop(C); });
-  }
-
-  support::closeFd(ListenFd);
-  ListenFd = -1;
-  ::unlink(Opts.SocketPath.c_str());
+void Server::beginDrain() {
+  Stopping = true;
   {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Stopping = true;
-    // Unblock every reader stuck in recv() — read side only. The write
-    // side stays open for the drain: queued requests still get their
-    // shed responses and in-flight checks their real ones.
-    for (const std::shared_ptr<Conn> &C : Conns)
-      ::shutdown(C->Fd, SHUT_RD);
+    std::lock_guard<std::mutex> Lock(FdMu);
+    support::closeFd(ListenFd);
+    ListenFd = -1;
   }
-  CvDispatch.notify_all();
+  ::unlink(Opts.SocketPath.c_str());
+  // Read side only: what is already on the wire is still read (and
+  // shed), and the write side stays up for the responses. dispatch()
+  // sheds everything still queued.
+  for (auto &[Id, C] : Conns)
+    if (C.Reading)
+      ::shutdown(C.Fd, SHUT_RD);
 }
 
-bool Server::sendFrame(Conn &C, MsgType Type, std::string_view Payload) {
-  std::string Frame = encodeFrame(Type, Payload);
-  std::lock_guard<std::mutex> Lock(C.WriteMu);
-  if (C.Dead.load(std::memory_order_acquire))
+void Server::acceptConns() {
+  while (true) {
+    int Fd;
+    {
+      // Accepted and listed under FdMu, so a worker forked meanwhile
+      // always knows to close the new fd.
+      std::lock_guard<std::mutex> Lock(FdMu);
+      Fd = static_cast<int>(support::retryEintr([&] {
+        return ::accept4(ListenFd, nullptr, nullptr,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC);
+      }));
+      if (Fd >= 0)
+        ConnFds.push_back(Fd);
+    }
+    if (Fd < 0)
+      return;
+    uint64_t Id = NextConnId++;
+    Conns[Id].Fd = Fd;
+    Conns[Id].Id = Id;
+    bumpCounter("serve/connections");
+  }
+}
+
+void Server::closeConnFd(int Fd) {
+  std::lock_guard<std::mutex> Lock(FdMu);
+  ConnFds.erase(std::remove(ConnFds.begin(), ConnFds.end(), Fd),
+                ConnFds.end());
+  support::closeFd(Fd);
+}
+
+void Server::readConn(Conn &C) {
+  char Buf[64 * 1024];
+  long N = support::retryEintr(
+      [&] { return ::recv(C.Fd, Buf, sizeof(Buf), 0); });
+  if (N <= 0) {
+    // EOF: answer what was admitted, then close. An error: close now.
+    if (N == 0)
+      C.Reading = false;
+    else if (errno != EAGAIN && errno != EWOULDBLOCK)
+      C.Dead = true;
+    return;
+  }
+  C.In.append(Buf, static_cast<size_t>(N));
+  size_t Pos = 0;
+  while (C.Reading && !C.Dead && C.In.size() - Pos >= FrameHeaderSize) {
+    std::string_view Rest = std::string_view(C.In).substr(Pos);
+    FrameHeader H;
+    bool HeaderOk = decodeFrameHeader(Rest.substr(0, FrameHeaderSize), H);
+    if (HeaderOk && Rest.size() - FrameHeaderSize < H.PayloadLen)
+      break; // The rest of this frame is still on the wire.
+    std::string_view Payload = Rest.substr(FrameHeaderSize, H.PayloadLen);
+    Pos += FrameHeaderSize + H.PayloadLen;
+    if (!HeaderOk || !validateFramePayload(H, Payload) ||
+        !handleFrame(C, H.Type, Payload)) {
+      bumpCounter("serve/protocol_errors");
+      C.Dead = true;
+    }
+  }
+  C.In.erase(0, Pos);
+}
+
+bool Server::handleFrame(Conn &C, MsgType Type, std::string_view Payload) {
+  CheckRequestMsg Req;
+  switch (Type) {
+  case MsgType::Ping:
+    queueFrame(C, encodeFrame(MsgType::Pong, {}));
+    return true;
+  case MsgType::StatsRequest: {
+    std::ostringstream OS;
+    if (Opts.Metrics)
+      Opts.Metrics->writeJson(OS);
+    else
+      OS << "{}";
+    queueFrame(C, encodeFrame(MsgType::StatsResponse, OS.str()));
+    return true;
+  }
+  case MsgType::Shutdown:
+    queueFrame(C, encodeFrame(MsgType::ShutdownAck, {}));
+    C.Reading = false;
+    requestStop();
+    return true;
+  case MsgType::CheckRequest:
+    if (!decodeCheckRequest(Payload, Req))
+      return false;
+    bumpCounter("serve/requests");
+    if (Stopping || TotalPending >= Opts.MaxQueue) {
+      queueShed(C, Req.ReqId,
+                Stopping ? "load shed: server shutting down"
+                         : "load shed: admission queue full");
+      return true;
+    }
+    ++TotalPending;
+    C.Queue.push_back(std::move(Req));
+    if (C.Queue.size() == 1)
+      Ring.push_back(C.Id); // A conn is in the ring iff it has queued work.
+    return true;
+  default:
+    return false; // A server-to-client message type.
+  }
+}
+
+void Server::takeCompletions() {
+  std::vector<std::pair<uint64_t, std::string>> Batch;
+  {
+    std::lock_guard<std::mutex> Lock(DoneMu);
+    Batch.swap(Done);
+  }
+  for (const auto &[Id, Frame] : Batch) {
+    --Active;
+    auto It = Conns.find(Id);
+    if (It == Conns.end())
+      continue; // The client is gone; so is its response.
+    --It->second.InFlight;
+    if (queueFrame(It->second, Frame))
+      bumpCounter("serve/responses");
+  }
+}
+
+void Server::dispatch() {
+  // Fair round-robin: one request per connection per turn. A connection
+  // with more queued work goes to the back of the ring. Once stopping,
+  // every queued request is shed instead of run — answered, never
+  // silently dropped.
+  while (!Ring.empty() && (Stopping || Active < NJobs)) {
+    auto It = Conns.find(Ring.front());
+    Ring.pop_front();
+    if (It == Conns.end())
+      continue; // Closed; its queued work left with it.
+    Conn &C = It->second;
+    CheckRequestMsg Req = std::move(C.Queue.front());
+    C.Queue.pop_front();
+    --TotalPending;
+    if (!C.Queue.empty())
+      Ring.push_back(C.Id);
+    if (Stopping) {
+      queueShed(C, Req.ReqId, "load shed: server shutting down");
+      continue;
+    }
+    ++Active;
+    ++C.InFlight;
+    Pool->submit([this, Id = C.Id, Req = std::move(Req)] {
+      std::string Frame = runCheck(Req);
+      {
+        std::lock_guard<std::mutex> Lock(DoneMu);
+        Done.emplace_back(Id, std::move(Frame));
+      }
+      wake();
+    });
+  }
+}
+
+bool Server::queueFrame(Conn &C, std::string_view Frame) {
+  if (C.Dead)
     return false;
   // The chaos suite's mid-write disconnect: the peer vanished right
   // before this response hits the wire.
-  bool Failed = support::faultPoint("serve/write") ||
-                !support::sendAll(C.Fd, Frame);
-  if (Failed) {
-    // This client is gone (EPIPE thanks to MSG_NOSIGNAL, never a
-    // process-killing SIGPIPE). Latch it dead and wake its reader; every
-    // other connection's in-flight work is untouched.
-    C.Dead.store(true, std::memory_order_release);
-    ::shutdown(C.Fd, SHUT_RDWR);
+  if (support::faultPoint("serve/write")) {
+    C.Dead = true;
     bumpCounter("serve/write_errors");
     return false;
   }
+  C.Out.append(Frame);
   return true;
 }
 
-void Server::sendShedResponse(const std::shared_ptr<Conn> &C, uint64_t ReqId,
-                              const char *Why) {
+void Server::flushConn(Conn &C) {
+  while (!C.Dead && !C.Out.empty()) {
+    long N = support::retryEintr([&] {
+      return ::send(C.Fd, C.Out.data(), C.Out.size(), MSG_NOSIGNAL);
+    });
+    if (N >= 0) {
+      C.Out.erase(0, static_cast<size_t>(N));
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      // This client is gone (EPIPE thanks to MSG_NOSIGNAL, never a
+      // process-killing SIGPIPE). Only this connection closes.
+      C.Dead = true;
+      bumpCounter("serve/write_errors");
+    } else {
+      return; // The client's buffer is full; POLLOUT resumes the flush.
+    }
+  }
+}
+
+void Server::queueShed(Conn &C, uint64_t ReqId, const char *Why) {
   bumpCounter("serve/shed");
   CheckResponseMsg Resp;
   Resp.ReqId = ReqId;
   Resp.Shed = true;
-  // Fail-sound: a shed request gets UNKNOWN with a structured failure —
-  // the checker never ran, so nothing stronger was earned.
-  Resp.Report.InputsOk = false;
-  Resp.Report.Safe = false;
+  // Fail-sound: a shed request gets UNKNOWN (Safe stays false) with a
+  // structured failure — the checker never ran, so nothing was earned.
   Resp.Report.Verdict = CheckVerdict::Unknown;
   Resp.Report.Failures.push_back({CheckPhase::Driver,
                                   FailureKind::ResourceExhausted, std::nullopt,
                                   Why});
-  sendFrame(*C, MsgType::CheckResponse, encodeCheckResponse(Resp));
+  queueFrame(C, encodeFrame(MsgType::CheckResponse, encodeCheckResponse(Resp)));
 }
 
-void Server::readerLoop(std::shared_ptr<Conn> C) {
-  while (!C->Dead.load(std::memory_order_acquire)) {
-    char Header[FrameHeaderSize];
-    long N = support::recvFull(C->Fd, Header, sizeof(Header));
-    if (N <= 0)
-      break; // Clean EOF or error/truncation.
-    FrameHeader H;
-    if (!decodeFrameHeader(std::string_view(Header, sizeof(Header)), H)) {
-      bumpCounter("serve/protocol_errors");
-      break;
-    }
-    std::string Payload(H.PayloadLen, '\0');
-    if (H.PayloadLen != 0 &&
-        support::recvFull(C->Fd, Payload.data(), Payload.size()) !=
-            static_cast<long>(Payload.size()))
-      break;
-    if (!validateFramePayload(H, Payload)) {
-      bumpCounter("serve/protocol_errors");
-      break;
-    }
-
-    if (H.Type == MsgType::Ping) {
-      if (!sendFrame(*C, MsgType::Pong, {}))
-        break;
-      continue;
-    }
-    if (H.Type == MsgType::StatsRequest) {
-      std::ostringstream OS;
-      if (Opts.Metrics)
-        Opts.Metrics->writeJson(OS);
-      else
-        OS << "{}";
-      if (!sendFrame(*C, MsgType::StatsResponse, OS.str()))
-        break;
-      continue;
-    }
-    if (H.Type == MsgType::Shutdown) {
-      sendFrame(*C, MsgType::ShutdownAck, {});
-      requestStop();
-      break;
-    }
-    if (H.Type != MsgType::CheckRequest) {
-      // Server-to-client message types arriving at the server are a
-      // protocol violation.
-      bumpCounter("serve/protocol_errors");
-      break;
-    }
-
-    CheckRequestMsg Req;
-    if (!decodeCheckRequest(Payload, Req)) {
-      bumpCounter("serve/protocol_errors");
-      break;
-    }
-    bumpCounter("serve/requests");
-
-    bool Shed;
-    bool Draining;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Draining = Stopping;
-      Shed = Stopping || TotalPending >= Opts.MaxQueue;
-      if (!Shed) {
-        ++TotalPending;
-        C->Queue.push_back(std::move(Req));
-        if (!C->InRing) {
-          C->InRing = true;
-          Ring.push_back(C);
-        }
-      }
-    }
-    if (Shed) {
-      sendShedResponse(C, Req.ReqId,
-                       Draining ? "load shed: server shutting down"
-                                : "load shed: admission queue full");
-      continue;
-    }
-    CvDispatch.notify_one();
-  }
-
-  // A reader exiting because the server is draining must leave the
-  // write side up — responses are still owed to this client. A client
-  // that disconnected on its own is latched dead as before.
-  if (Running.load(std::memory_order_acquire)) {
-    C->Dead.store(true, std::memory_order_release);
-    ::shutdown(C->Fd, SHUT_RDWR);
-  }
-  C->ReaderDone.store(true, std::memory_order_release);
-  // Pair with the drain wait in wait(): the empty critical section
-  // orders this store against the waiter's predicate check.
-  { std::lock_guard<std::mutex> Lock(Mu); }
-  CvReaders.notify_all();
-}
-
-void Server::dispatchLoop() {
-  std::unique_lock<std::mutex> Lock(Mu);
-  while (true) {
-    CvDispatch.wait(Lock, [&] {
-      return Stopping || (!Ring.empty() && Active < NJobs);
-    });
-    if (Stopping)
-      break;
-    // Fair round-robin: one request per connection per turn. A
-    // connection with more queued work goes to the back of the ring.
-    std::shared_ptr<Conn> C = Ring.front();
-    Ring.pop_front();
-    CheckRequestMsg Req = std::move(C->Queue.front());
-    C->Queue.pop_front();
-    --TotalPending;
-    if (!C->Queue.empty())
-      Ring.push_back(C);
-    else
-      C->InRing = false;
-    if (C->Dead.load(std::memory_order_acquire))
-      continue; // The client is gone; its queued work is dropped.
-    ++Active;
-    Lock.unlock();
-    Pool->submit([this, C, Req = std::move(Req)] {
-      runCheckRequest(C, Req);
-      {
-        std::lock_guard<std::mutex> G(Mu);
-        --Active;
-      }
-      CvDispatch.notify_all();
-    });
-    Lock.lock();
-  }
-  // Drain: every request still queued at shutdown is answered with a
-  // shed UNKNOWN — never silently dropped. New arrivals past this point
-  // are shed by the readers themselves (Stopping is set).
-  std::vector<std::pair<std::shared_ptr<Conn>, uint64_t>> ToShed;
-  Ring.clear();
-  for (const std::shared_ptr<Conn> &C : Conns) {
-    for (const CheckRequestMsg &R : C->Queue)
-      ToShed.emplace_back(C, R.ReqId);
-    C->Queue.clear();
-    C->InRing = false;
-  }
-  TotalPending = 0;
-  Lock.unlock();
-  for (const auto &[C, ReqId] : ToShed)
-    sendShedResponse(C, ReqId, "load shed: server shutting down");
-}
-
-void Server::runCheckRequest(const std::shared_ptr<Conn> &C,
-                             const CheckRequestMsg &Req) {
+std::string Server::runCheck(const CheckRequestMsg &Req) {
   CheckResponseMsg Resp;
   if (Workers) {
     // Isolation: the check runs in a supervised worker subprocess. Any
     // worker death/hang comes back as a structured UNKNOWN — this
     // thread, the daemon, and every other connection are unaffected.
     Resp = Workers->runRequest(Req);
-    Resp.ReqId = Req.ReqId;
   } else {
-    Resp.ReqId = Req.ReqId;
     // Same option construction as the worker child (WorkerPool.cpp) —
     // the single helper is what keeps reports byte-identical with
     // isolation on or off.
@@ -489,6 +484,7 @@ void Server::runCheckRequest(const std::shared_ptr<Conn> &C,
     O.Certs = Certs.get();
     Resp.Report = runRequestCheck(Req, O);
   }
+  Resp.ReqId = Req.ReqId;
   // Slicing counters ride in the report's prover stats, so this works
   // identically with isolation on (decoded from the worker's response
   // bytes) or off (computed in-process).
@@ -496,21 +492,14 @@ void Server::runCheckRequest(const std::shared_ptr<Conn> &C,
                       [this](const char *Name, uint64_t V) {
                         bumpCounter(Name, V);
                       });
-  if (sendFrame(*C, MsgType::CheckResponse, encodeCheckResponse(Resp)))
-    bumpCounter("serve/responses");
+  return encodeFrame(MsgType::CheckResponse, encodeCheckResponse(Resp));
 }
 
 std::vector<int> Server::parentFdsSnapshot() {
-  std::vector<int> Fds;
+  std::vector<int> Fds = {WakeRd, WakeWr};
+  std::lock_guard<std::mutex> Lock(FdMu);
   if (ListenFd >= 0)
     Fds.push_back(ListenFd);
-  if (WakeRd >= 0) {
-    Fds.push_back(WakeRd);
-    Fds.push_back(WakeWr);
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (const std::shared_ptr<Conn> &C : Conns)
-    if (C->Fd >= 0)
-      Fds.push_back(C->Fd);
+  Fds.insert(Fds.end(), ConnFds.begin(), ConnFds.end());
   return Fds;
 }

@@ -13,18 +13,28 @@
 /// cache, one open CertStore, one work-stealing thread pool, reused
 /// across every request.
 ///
-/// Concurrency model: one accept thread (poll on the listen socket plus a
-/// self-pipe so requestStop() is async-signal-safe), one reader thread
-/// per connection, one dispatcher thread, and the checker thread pool.
-/// Readers parse frames and enqueue check requests; the dispatcher
-/// round-robins across connections (one request per turn, so a client
-/// that pipelines 100 requests cannot starve one that sends a single
-/// check) and keeps at most `Jobs` checks running on the pool.
+/// Concurrency model: one loop thread plus the checker thread pool. The
+/// loop polls the listen socket, a self-pipe (so requestStop() is async-
+/// signal-safe, and finished checks can wake it) and every connection.
+/// A connection has an input buffer, parsed into whole frames, and an
+/// output buffer, flushed by non-blocking sends. Admission, shedding and
+/// dispatch run on the loop: it round-robins across connections (one
+/// request per turn, so a client that pipelines 100 requests cannot
+/// starve one that sends a single check) and keeps at most `Jobs` checks
+/// on the pool. Pool tasks never touch a client socket; each hands its
+/// response frame back through a completion list. A connection with
+/// more unsent bytes than a fixed bound is not read until its client
+/// drains them, so a client that never reads holds bounded memory.
+///
+/// Locks: DoneMu guards the completion list, FdMu the fd list a forked
+/// worker must close. Both are leaves. WorkerPool takes FdMu under its
+/// own Mu (spawnSlot calls CollectParentFds), so the order is
+/// WorkerPool::Mu, then FdMu; the loop never calls into WorkerPool.
 ///
 /// Admission control is fail-sound: when the queued-request total reaches
 /// MaxQueue, new requests are shed immediately with an UNKNOWN verdict
-/// and a ResourceExhausted failure — the server never blocks a reader on
-/// a full queue and never fabricates a SAFE it did not earn. Per-request
+/// and a ResourceExhausted failure — the server never stops reading on a
+/// full queue and never fabricates a SAFE it did not earn. Per-request
 /// governor budgets come from the request header, clamped to the server's
 /// caps.
 ///
@@ -43,9 +53,9 @@
 #include "support/Metrics.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -106,7 +116,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds and listens, then spawns the accept and dispatcher threads.
+  /// Binds and listens, then spawns the loop thread.
   /// False (with \p Error set) when the socket cannot be created.
   bool start(std::string &Error);
 
@@ -114,54 +124,55 @@ public:
   /// self-pipe write — callable straight from a SIGINT/SIGTERM handler.
   void requestStop();
 
-  /// Blocks until the server has fully stopped: all threads joined,
-  /// in-flight checks drained, connections closed, socket unlinked.
+  /// Blocks until the server has fully stopped: every admitted request
+  /// answered, the loop joined, connections closed, socket unlinked.
   void wait();
 
   unsigned jobs() const { return NJobs; }
 
 private:
-  /// One client connection. Reader thread, write lock, and the per-
-  /// connection FIFO the dispatcher drains fairly.
+  /// One client connection. Owned by the loop thread; no lock.
   struct Conn {
     int Fd = -1;
     uint64_t Id = 0;
-    std::thread Reader;
-    std::atomic<bool> ReaderDone{false};
-    /// Latched on any write error or protocol violation; no further
-    /// frames are sent and the socket is shut down.
-    std::atomic<bool> Dead{false};
-    /// Serializes whole frames onto the socket (checker pool tasks and
-    /// the reader thread both send).
-    std::mutex WriteMu;
-    /// Queued requests, guarded by Server::Mu.
-    std::deque<CheckRequestMsg> Queue;
-    bool InRing = false; ///< Guarded by Server::Mu.
-    ~Conn();
+    std::string In;  ///< Received bytes not yet parsed into frames.
+    std::string Out; ///< Encoded frames not yet sent.
+    std::deque<CheckRequestMsg> Queue; ///< Admitted, not yet started.
+    unsigned InFlight = 0; ///< Started checks whose responses are owed.
+    /// False after EOF or a Shutdown message; the connection closes once
+    /// everything it is owed has been sent.
+    bool Reading = true;
+    /// A write error or protocol violation: close now, drop what is owed.
+    bool Dead = false;
   };
 
-  void acceptLoop();
-  void readerLoop(std::shared_ptr<Conn> C);
-  void dispatchLoop();
-  void runCheckRequest(const std::shared_ptr<Conn> &C,
-                       const CheckRequestMsg &Req);
-  void sendShedResponse(const std::shared_ptr<Conn> &C, uint64_t ReqId,
-                        const char *Why);
-  /// Every parent-only fd a forked worker must close: listen socket,
-  /// wake pipe, client connections.
+  void loop();
+  /// Stops accepting and shuts down every connection's read side.
+  void beginDrain();
+  void acceptConns();
+  void readConn(Conn &C);
+  /// False on a protocol violation.
+  bool handleFrame(Conn &C, MsgType Type, std::string_view Payload);
+  void takeCompletions();
+  void dispatch();
+  /// False (and C dead) when the "serve/write" fault site fires.
+  bool queueFrame(Conn &C, std::string_view Frame);
+  void queueShed(Conn &C, uint64_t ReqId, const char *Why);
+  void flushConn(Conn &C);
+  void closeConnFd(int Fd);
+  /// Runs one check on a pool thread and returns its response frame.
+  std::string runCheck(const CheckRequestMsg &Req);
+  void wake();
+  /// Every parent-only fd a forked worker must close: wake pipe, listen
+  /// socket, client connections.
   std::vector<int> parentFdsSnapshot();
-  /// Encodes and sends one frame under the connection's write lock. On
-  /// failure the connection is marked dead and shut down; other
-  /// connections (and in-flight checks) are unaffected.
-  bool sendFrame(Conn &C, MsgType Type, std::string_view Payload);
   void bumpCounter(const char *Name, uint64_t Delta = 1);
-  void reapDoneConns();
 
   ServerOptions Opts;
   unsigned NJobs = 1;
 
-  int ListenFd = -1;
-  int WakeRd = -1, WakeWr = -1; ///< Self-pipe for requestStop().
+  int ListenFd = -1; ///< Closed by the loop under FdMu.
+  int WakeRd = -1, WakeWr = -1; ///< Self-pipe, both ends non-blocking.
   std::atomic<bool> Running{false};
   bool Started = false;
 
@@ -169,23 +180,21 @@ private:
   std::shared_ptr<ProverCache> SharedCache;
   std::unique_ptr<checker::CertStore> Certs;
   std::unique_ptr<WorkerPool> Workers; ///< Set iff IsolateWorkers.
+  std::thread LoopThread;
 
-  std::thread AcceptThread, DispatchThread;
-
-  /// Guards Conns, Ring, per-conn queues, TotalPending, Active,
-  /// Stopping.
-  std::mutex Mu;
-  std::condition_variable CvDispatch;
-  /// Signaled by each reader as it exits; wait() blocks on it so the
-  /// write sides stay open until every reader has finished shedding
-  /// the tail of its receive buffer.
-  std::condition_variable CvReaders;
-  std::vector<std::shared_ptr<Conn>> Conns;
-  std::deque<std::shared_ptr<Conn>> Ring; ///< Conns with queued work.
-  size_t TotalPending = 0;
-  unsigned Active = 0;
+  // Loop-thread state.
+  std::map<uint64_t, Conn> Conns;
+  std::deque<uint64_t> Ring; ///< Ids of conns with queued work.
+  size_t TotalPending = 0;   ///< Queued requests over all conns.
+  unsigned Active = 0;       ///< Checks running on the pool.
   bool Stopping = false;
   uint64_t NextConnId = 1;
+
+  std::mutex DoneMu;
+  /// Finished checks' (connection id, response frame), guarded by DoneMu.
+  std::vector<std::pair<uint64_t, std::string>> Done;
+  std::mutex FdMu;
+  std::vector<int> ConnFds; ///< Guarded by FdMu.
 };
 
 } // namespace serve

@@ -357,6 +357,30 @@ TEST(CertStore, ConcurrentWritersOfTheSameKeyNeverCorruptTheStore) {
   EXPECT_EQ(reportFingerprint(Cold), reportFingerprint(Warm));
 }
 
+TEST(CertStore, WarmHitPublishesTheColdRunsWorkCounters) {
+  TempStore T("counters");
+  CertStore Store(T.Dir);
+  const CorpusProgram &P = corpusProgram("BubbleSort");
+  auto Run = [&](support::MetricsRegistry &Reg) {
+    SafetyChecker::Options Opts;
+    Opts.Certs = &Store;
+    Opts.Metrics = &Reg;
+    SafetyChecker(Opts).checkSource(P.Asm, P.Policy);
+  };
+  support::MetricsRegistry Cold, Warm;
+  Run(Cold);
+  Run(Warm);
+  ASSERT_EQ(Store.stats().Hits, 1u);
+  for (const char *Name : {"check/typestate/node_visits",
+                           "check/prover/sat_queries",
+                           "check/global/backsubst_steps"}) {
+    EXPECT_GT(Cold.value(Name).value_or(0), 0) << Name;
+    EXPECT_EQ(Warm.value(Name), Cold.value(Name)) << Name;
+  }
+  // Phase timers measured the cold run only.
+  EXPECT_FALSE(Warm.value("check/phase/total_us").has_value());
+}
+
 TEST(CertStore, MetricsPublishCoversEveryCounter) {
   TempStore T("metrics");
   CertStore Store(T.Dir);

@@ -24,7 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,6 +93,63 @@ std::string remoteCorpusRender(Client &Conn) {
     R.Programs[Resp.ReqId].Report = std::move(Resp.Report);
   }
   return renderParallelReport(R);
+}
+
+/// A raw connection to \p Path, for tests that speak bytes rather than
+/// Client calls. -1 on failure.
+int rawConnect(const std::string &Path) {
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd >= 0 && ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                           sizeof(Addr)) != 0) {
+    support::closeFd(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+CheckRequestMsg checkRequest(const CorpusProgram &P, uint64_t ReqId) {
+  CheckRequestMsg Req;
+  Req.ReqId = ReqId;
+  Req.Name = P.Name;
+  Req.Asm = P.Asm;
+  Req.Policy = P.Policy;
+  return Req;
+}
+
+std::string renderOne(const std::string &Name, CheckReport Report) {
+  ParallelCheckResult R;
+  R.Programs.resize(1);
+  R.Programs[0].Name = Name;
+  R.Programs[0].Report = std::move(Report);
+  return renderParallelReport(R);
+}
+
+/// Reads one whole frame's bytes (header and payload) from a raw socket;
+/// empty on EOF or error.
+std::string recvRawFrame(int Fd) {
+  std::string Frame(FrameHeaderSize, '\0');
+  FrameHeader H;
+  if (support::recvFull(Fd, Frame.data(), Frame.size()) !=
+          static_cast<long>(Frame.size()) ||
+      !decodeFrameHeader(Frame, H))
+    return {};
+  Frame.resize(FrameHeaderSize + H.PayloadLen);
+  if (H.PayloadLen != 0 &&
+      support::recvFull(Fd, Frame.data() + FrameHeaderSize, H.PayloadLen) !=
+          static_cast<long>(H.PayloadLen))
+    return {};
+  return Frame;
+}
+
+size_t threadCount() {
+  size_t N = 0;
+  for ([[maybe_unused]] const auto &E :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
 }
 
 struct RunningServer {
@@ -304,15 +363,8 @@ TEST(Serve, ClientVanishingMidRequestLeavesOthersUnaffected) {
 TEST(Serve, GarbageBytesDropTheConnectionNotTheServer) {
   RunningServer S(2);
   // Raw socket speaking nonsense.
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  std::memcpy(Addr.sun_path, S.Opts.SocketPath.c_str(),
-              S.Opts.SocketPath.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int Fd = rawConnect(S.Opts.SocketPath);
   ASSERT_GE(Fd, 0);
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Garbage = "this is definitely not an MSRV frame......";
   ASSERT_TRUE(support::sendAll(Fd, Garbage));
   char B;
@@ -525,6 +577,117 @@ TEST(Serve, ConnectionChurnNeverWedgesTheAcceptLoop) {
   }
   Srv->requestStop();
   Srv->wait();
+}
+
+TEST(Serve, ClientThatNeverReadsCannotStarveOthers) {
+  // Regression: pool threads once wrote responses straight to client
+  // sockets. A client that pipelined checks and never read filled its
+  // socket, every pool thread blocked in send holding its slot, the
+  // client's admitted requests never drained, and every other client
+  // was shed ("admission queue full") for as long as it stayed
+  // connected.
+  const CorpusProgram &P = corpusProgram("Sum");
+  SafetyChecker Local;
+  const std::string Expected =
+      renderOne(P.Name, Local.checkSource(P.Asm, P.Policy));
+
+  RunningServer S(2);
+  Client Other;
+  Other.setTimeoutMs(5000);
+  std::string Error;
+  ASSERT_TRUE(Other.connect(S.Opts.SocketPath, Error)) << Error;
+  int Hog = rawConnect(S.Opts.SocketPath);
+  ASSERT_GE(Hog, 0);
+  constexpr int FloodSize = 10000;
+  std::atomic<int> Sent{0};
+  std::thread Flood([&] {
+    for (uint64_t I = 0; I < FloodSize; ++I) {
+      if (!support::sendAll(Hog, encodeFrame(MsgType::CheckRequest,
+                                             encodeCheckRequest(
+                                                 checkRequest(P, I)))))
+        return;
+      ++Sent;
+    }
+  });
+  // Let the flood get well ahead before the second client arrives.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (Sent.load() < 500 && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // While the flood's admitted work drains, the second client may be
+  // shed; it must be served within 5 s.
+  std::string Got;
+  Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (uint64_t Id = 1; Got.empty() &&
+                        std::chrono::steady_clock::now() < Deadline;
+       ++Id) {
+    CheckResponseMsg Resp;
+    if (!Other.check(checkRequest(P, Id), Resp, Error)) {
+      ADD_FAILURE() << Error;
+      break;
+    }
+    if (!Resp.Shed)
+      Got = renderOne(P.Name, std::move(Resp.Report));
+    else
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(Got, Expected) << "the second client was never served";
+  // The server stopped reading the flood once its unsent responses hit
+  // the output bound, so the flood's sender is stuck well short of done.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(Sent.load(), FloodSize);
+
+  ::shutdown(Hog, SHUT_RDWR); // Unblocks the flood's send.
+  Flood.join();
+  support::closeFd(Hog);
+}
+
+TEST(Serve, TrickledFrameIsReassembled) {
+  const CorpusProgram &P = corpusProgram("Sum");
+  const std::string Request = encodeFrame(
+      MsgType::CheckRequest, encodeCheckRequest(checkRequest(P, 7)));
+  RunningServer S(2);
+
+  // The reference: the same request sent whole.
+  int Whole = rawConnect(S.Opts.SocketPath);
+  ASSERT_GE(Whole, 0);
+  ASSERT_TRUE(support::sendAll(Whole, Request));
+  const std::string Expected = recvRawFrame(Whole);
+  ASSERT_FALSE(Expected.empty());
+  support::closeFd(Whole);
+
+  // One byte per send; a second client's ping round-trips meanwhile, so
+  // the partial frame holds up nobody.
+  int Trickle = rawConnect(S.Opts.SocketPath);
+  ASSERT_GE(Trickle, 0);
+  Client Other;
+  Other.setTimeoutMs(5000);
+  std::string Error;
+  ASSERT_TRUE(Other.connect(S.Opts.SocketPath, Error)) << Error;
+  for (size_t I = 0; I < Request.size(); ++I) {
+    ASSERT_TRUE(support::sendAll(Trickle, Request.substr(I, 1)));
+    if (I % 128 == 0) {
+      EXPECT_TRUE(Other.ping(Error)) << "at byte " << I << ": " << Error;
+    }
+  }
+  EXPECT_EQ(recvRawFrame(Trickle), Expected);
+  support::closeFd(Trickle);
+}
+
+TEST(Serve, IdleConnectionsAddNoThreads) {
+  RunningServer S(2);
+  std::string Error;
+  Client First;
+  ASSERT_TRUE(First.connect(S.Opts.SocketPath, Error)) << Error;
+  ASSERT_TRUE(First.ping(Error)) << Error;
+  const size_t Before = threadCount();
+
+  std::vector<Client> Idle(64);
+  for (Client &C : Idle) {
+    ASSERT_TRUE(C.connect(S.Opts.SocketPath, Error)) << Error;
+    ASSERT_TRUE(C.ping(Error)) << Error; // Accepted and served.
+  }
+  EXPECT_EQ(threadCount(), Before);
 }
 
 TEST(Serve, StaleSocketFileIsReplacedOnStart) {
