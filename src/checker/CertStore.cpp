@@ -37,18 +37,13 @@ std::string checker::canonicalCheckConfig(const SafetyChecker::Options &O) {
   const GlobalVerifyOptions &G = O.Global;
   OS << ";g.max_iterations=" << G.MaxIterations
      << ";g.generalization=" << G.UseGeneralization
-     << ";g.disjunct_trial=" << G.UseDisjunctTrial
-     << ";g.simplify_junctions=" << G.SimplifyAtJunctions
      << ";g.reuse_invariants=" << G.ReuseInvariants
-     << ";g.certify_invariants=" << G.CertifyInvariants
-     << ";g.max_formula_size=" << G.MaxFormulaSize
      << ";g.fail_soft=" << G.FailSoft;
   const Prover::Options &P = O.ProverOpts;
   OS << ";p.dnf_max_disjuncts=" << P.DnfMaxDisjuncts
      << ";p.dnf_max_atoms=" << P.DnfMaxAtoms
      << ";p.omega_max_steps=" << P.Omega.MaxSteps
      << ";p.omega_max_ndiv_modulus=" << P.Omega.MaxNdivModulus
-     << ";p.enable_cache=" << P.EnableCache
      << ";p.enable_congruence=" << P.EnableCongruence;
   const support::GovernorLimits &L = O.Limits;
   // Wall-clock deadlines make outcomes timing-dependent; such runs are
@@ -366,12 +361,20 @@ CertStore::Stats CertStore::stats() const {
 }
 
 void CertStore::publish(support::MetricsRegistry &Reg) const {
+  // Raises each counter to the store's running total, so publishing
+  // again (a live daemon answers every stats request this way) never
+  // counts an event twice.
+  auto Put = [&Reg](const char *Name, uint64_t Total) {
+    support::Counter &C = Reg.counter(Name);
+    if (Total > C.value())
+      C.inc(Total - C.value());
+  };
   Stats S = stats();
-  Reg.counter("cert/store/hits").inc(S.Hits);
-  Reg.counter("cert/store/misses").inc(S.Misses);
-  Reg.counter("cert/store/stale").inc(S.Stale);
-  Reg.counter("cert/store/corrupt").inc(S.Corrupt);
-  Reg.counter("cert/store/revalidate_failed").inc(S.RevalidateFailed);
-  Reg.counter("cert/store/writes").inc(S.Writes);
-  Reg.counter("cert/store/write_failures").inc(S.WriteFailures);
+  Put("cert/store/hits", S.Hits);
+  Put("cert/store/misses", S.Misses);
+  Put("cert/store/stale", S.Stale);
+  Put("cert/store/corrupt", S.Corrupt);
+  Put("cert/store/revalidate_failed", S.RevalidateFailed);
+  Put("cert/store/writes", S.Writes);
+  Put("cert/store/write_failures", S.WriteFailures);
 }

@@ -92,7 +92,10 @@ public:
   /// prover counts no longer match a cold run, and warm report bytes must
   /// equal cold ones.
   /// Version 5: serialized reports carry GlobalVerifyStats::BacksubstSteps.
-  static constexpr uint32_t FormatVersion = 5;
+  /// Version 6: the config drops g.disjunct_trial, g.simplify_junctions,
+  /// g.certify_invariants, g.max_formula_size and p.enable_cache (those
+  /// behaviours are fixed).
+  static constexpr uint32_t FormatVersion = 6;
 
   enum class LoadOutcome : uint8_t {
     Hit,     ///< Validated certificate loaded.
@@ -140,7 +143,9 @@ public:
   }
 
   Stats stats() const;
-  /// Publishes the counters as cert/store/* metrics.
+  /// Publishes the counters as cert/store/* metrics. Idempotent: each
+  /// call brings the registry up to the current totals. Calls must not
+  /// race one another.
   void publish(support::MetricsRegistry &Reg) const;
 
   const std::string &dir() const { return Dir; }

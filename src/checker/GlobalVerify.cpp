@@ -131,10 +131,9 @@ private:
   }
 
   /// True when speculative VC-level parallelism is available: a pool
-  /// with real workers and a prover cache to carry results back.
+  /// with real workers (the prover's cache carries results back).
   bool canPrefetch() const {
-    return Opts.Pool && Opts.Pool->workerCount() > 1 &&
-           TheProver.cacheHandle() != nullptr;
+    return Opts.Pool && Opts.Pool->workerCount() > 1;
   }
 
   /// Discharges the validity queries \p Queries concurrently on the
@@ -211,6 +210,8 @@ private:
 
   unsigned RecursionDepth = 0;
   static constexpr unsigned MaxRecursionDepth = 24;
+  /// A back-substituted formula larger than this fails its region.
+  static constexpr size_t MaxFormulaSize = 20000;
 };
 
 void Verifier::prefetchValidity(const std::vector<FormulaRef> &Queries) {
@@ -420,9 +421,11 @@ Verifier::backSubstRegion(int32_t LoopIdx,
     FormulaRef Post = Formula::conj(std::move(Terms));
     FormulaRef Before =
         Formula::conj2(std::move(Seeded), Wlp.transformNode(N, Post));
-    if (Opts.SimplifyAtJunctions && Ctx.Graph.node(N).Preds.size() != 1)
+    // Junction simplification (§5.2.2) keeps formulas from doubling at
+    // every merge point.
+    if (Ctx.Graph.node(N).Preds.size() != 1)
       Before = simplify(Before);
-    if (Before->size() > Opts.MaxFormulaSize) {
+    if (Before->size() > MaxFormulaSize) {
       Failed = true;
       Before = Formula::mkFalse();
     }
@@ -456,7 +459,7 @@ std::vector<FormulaRef> Verifier::candidates(int32_t LoopIdx,
     for (FormulaRef &G : generalize(W, Modified))
       Result.push_back(std::move(G));
   }
-  if (Opts.UseDisjunctTrial && W->kind() == FormulaKind::Or) {
+  if (W->kind() == FormulaKind::Or) {
     // Each disjunct is a stronger candidate ("try each of its disjuncts
     // as W(i) in turn").
     for (const FormulaRef &D : W->children())
@@ -573,7 +576,7 @@ Verifier::SynthesisResult Verifier::synthesize(int32_t LoopIdx,
       // SUCCESS: certify L = W(0..I-1) (or "true" if I == 0).
       FormulaRef Linv = LPrev;
       bool Certified = true;
-      if (Opts.CertifyInvariants && I > 0) {
+      if (I > 0) {
         std::vector<FormulaRef> Body(Wlps.begin(), Wlps.begin() + I);
         FormulaRef Around = Formula::conj(std::move(Body));
         Certified = implies(Formula::conj2(Linv, PureFacts), Around) ==

@@ -49,8 +49,8 @@ class ThreadPool;
 
 namespace checker {
 
-/// A loop invariant the induction-iteration engine synthesized (and, when
-/// CertifyInvariants is on, certified), exported for certificate storage:
+/// A loop invariant the induction-iteration engine synthesized and
+/// certified, exported for certificate storage:
 /// which loop, the header obligation it discharges, the invariant itself,
 /// and whether its establishment at loop entry was proved.
 struct SynthesizedInvariant {
@@ -60,16 +60,14 @@ struct SynthesizedInvariant {
   bool EntryEstablished;
 };
 
-/// Strategy switches (all on by default; the ablation benches toggle
-/// them).
+/// Verification options. The paper's other enhancements — trying each
+/// DNF disjunct as a candidate (§5.2.1), simplifying at junctions
+/// (§5.2.2) and certifying every synthesized invariant — always run;
+/// EXPERIMENTS.md records their ablation.
 struct GlobalVerifyOptions {
   unsigned MaxIterations = 3;   ///< Induction-iteration bound (paper: 3).
   bool UseGeneralization = true;
-  bool UseDisjunctTrial = true;
-  bool SimplifyAtJunctions = true;
   bool ReuseInvariants = true;  ///< The grouping enhancement.
-  bool CertifyInvariants = true;
-  size_t MaxFormulaSize = 20000;
   /// When set (and the prover has a cache), independent verification
   /// conditions — per-obligation quick-discharge queries and
   /// induction-iteration candidate-invariant implications — are

@@ -115,6 +115,14 @@ struct DnfBuilder {
       std::vector<std::vector<Constraint>> Result = {{}};
       for (const FormulaRef &C : F->children()) {
         std::vector<std::vector<Constraint>> Sub = run(C);
+        // A single-disjunct conjunct (an atom, by far the common case)
+        // extends every partial disjunct in place: copying them all per
+        // conjunct would make a flat conjunction quadratic.
+        if (Sub.size() == 1) {
+          for (std::vector<Constraint> &Left : Result)
+            Left.insert(Left.end(), Sub[0].begin(), Sub[0].end());
+          continue;
+        }
         std::vector<std::vector<Constraint>> Next;
         Next.reserve(Result.size() * Sub.size());
         for (const auto &Left : Result) {

@@ -20,24 +20,22 @@ TieredSolver::Options solverOptions(const Prover::Options &O) {
   S.EnableCongruence = O.EnableCongruence;
   return S;
 }
+
+std::shared_ptr<ProverCache> privateCache(size_t MaxEntries) {
+  ProverCache::Config C;
+  C.MaxEntries = MaxEntries;
+  return std::make_shared<ProverCache>(C);
+}
 } // namespace
 
+// The slicer memoizes per-component verdicts in the same cache the
+// whole-query results live in (budget-tagged apart).
 Prover::Prover(Options Opts, std::shared_ptr<ProverCache> SharedCache)
     : Opts(propagateGovernor(Opts)), Solver(solverOptions(this->Opts)),
-      Slicer(Solver, nullptr) {
-  if (SharedCache)
-    Cache = std::move(SharedCache);
-  else if (Opts.EnableCache) {
-    ProverCache::Config C;
-    C.MaxEntries = Opts.CacheMaxEntries;
-    Cache = std::make_shared<ProverCache>(C);
-    OwnsCache = true;
-  }
-  // The slicer memoizes per-component verdicts in the same cache the
-  // whole-query results live in (budget-tagged apart); without a cache it
-  // still decomposes, just without the memo.
-  Slicer.setCache(Cache.get());
-}
+      OwnsCache(!SharedCache),
+      Cache(SharedCache ? std::move(SharedCache)
+                        : privateCache(Opts.CacheMaxEntries)),
+      Slicer(Solver, *Cache) {}
 
 QueryBudget Prover::budget() const {
   QueryBudget B;
@@ -58,7 +56,7 @@ Prover::Stats Prover::stats() const {
   // reporting them here would let a batch summary over N workers count
   // each eviction N times. The batch driver reads ProverCache::stats()
   // once instead.
-  if (Cache && OwnsCache)
+  if (OwnsCache)
     S.CacheEvictions = Cache->stats().Evictions;
   return S;
 }
@@ -86,17 +84,14 @@ SatOutcome Prover::checkSatInternal(const FormulaRef &F) {
   if (F->isFalse())
     return {SatResult::Unsat, false};
 
-  uint64_t Key = 0;
   QueryBudget B = budget();
-  if (Cache) {
-    Key = ProverCache::keyFor(F, B);
-    // Injected cache fault: degrade to a recompute (lookup "misses").
-    if (!support::faultPoint("cache/lookup")) {
-      if (std::optional<SatOutcome> Hit = Cache->lookupHashed(Key, F, B)) {
-        ++Counters.CacheHits;
-        recordQuery(F, B, *Hit);
-        return *Hit;
-      }
+  uint64_t Key = ProverCache::keyFor(F, B);
+  // Injected cache fault: degrade to a recompute (lookup "misses").
+  if (!support::faultPoint("cache/lookup")) {
+    if (std::optional<SatOutcome> Hit = Cache->lookupHashed(Key, F, B)) {
+      ++Counters.CacheHits;
+      recordQuery(F, B, *Hit);
+      return *Hit;
     }
   }
 
@@ -183,7 +178,7 @@ SatOutcome Prover::checkSatInternal(const FormulaRef &F) {
   // But an Unknown produced because the *governor* interrupted the
   // computation is NOT a pure function of (formula, budget) — it depends
   // on when the deadline fired — so it must never enter the cache.
-  if (Cache && !(Opts.Governor && Opts.Governor->exhausted()) &&
+  if (!(Opts.Governor && Opts.Governor->exhausted()) &&
       !support::faultPoint("cache/insert"))
     Cache->insertHashed(Key, F, B, Outcome);
   recordQuery(F, B, Outcome);

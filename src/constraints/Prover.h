@@ -73,7 +73,6 @@ public:
     OmegaTest::Options Omega;
     size_t DnfMaxDisjuncts = 1024;
     size_t DnfMaxAtoms = 512;
-    bool EnableCache = true;
     /// Capacity of a privately-owned cache (ignored when a shared cache
     /// is supplied).
     size_t CacheMaxEntries = size_t(1) << 18;
@@ -142,10 +141,7 @@ public:
     Slicer.resetStats();
   }
   /// Clears the attached cache (the shared one, if sharing).
-  void clearCache() {
-    if (Cache)
-      Cache->clear();
-  }
+  void clearCache() { Cache->clear(); }
 
   /// Starts (or stops, with null) appending every answered sat query to
   /// \p T, deduplicated by formula identity. Outcomes are recorded for
@@ -157,8 +153,8 @@ public:
   }
 
   const Options &options() const { return Opts; }
-  /// The attached cache; null when caching is disabled. Hand this to
-  /// another Prover to share results.
+  /// The attached cache (never null). Hand this to another Prover to
+  /// share results.
   std::shared_ptr<ProverCache> cacheHandle() const { return Cache; }
   /// The budgets queries of this prover run under (the cache key part).
   QueryBudget budget() const;
@@ -170,11 +166,11 @@ private:
 
   Options Opts;
   TieredSolver Solver;
+  /// True when this prover created Cache itself (nobody else shares it).
+  bool OwnsCache;
+  std::shared_ptr<ProverCache> Cache;
   SliceSolver Slicer;
   Stats Counters;
-  std::shared_ptr<ProverCache> Cache;
-  /// True when this prover created Cache itself (nobody else shares it).
-  bool OwnsCache = false;
   /// Certificate witness sink; null when not recording.
   std::vector<QueryRecord> *Transcript = nullptr;
   /// Formula ids already recorded (one witness per distinct query).

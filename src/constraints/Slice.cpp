@@ -104,26 +104,23 @@ SatResult SliceSolver::solve(const FormulaRef &DF,
   // SlicingQuery budget — sound to share with whole-query
   // entries, because a whole query that *is* a canonical conjunction of
   // atoms (its DNF is itself) has exactly this disjunct's semantics.
-  uint64_t DisjunctKey = 0;
-  if (Cache) {
-    DisjunctKey = ProverCache::keyFor(DF, B);
-    if (std::optional<SatOutcome> Hit = Cache->lookupHashed(DisjunctKey, DF, B)) {
-      ++Counters.CacheHits;
-      if (Hit->UsedOmega)
-        ++Counters.OmegaAvoided;
-      return Hit->Result;
-    }
-    ++Counters.CacheMisses;
+  uint64_t DisjunctKey = ProverCache::keyFor(DF, B);
+  if (std::optional<SatOutcome> Hit = Cache.lookupHashed(DisjunctKey, DF, B)) {
+    ++Counters.CacheHits;
+    if (Hit->UsedOmega)
+      ++Counters.OmegaAvoided;
+    return Hit->Result;
   }
+  ++Counters.CacheMisses;
 
   SatResult Result = solveUncached(Conjuncts, B, Gov);
-  if (Cache && !(Gov && Gov->exhausted())) {
+  if (!(Gov && Gov->exhausted())) {
     SatOutcome Outcome;
     Outcome.Result = Result;
     // UsedOmega propagates up from the component level so a future hit
     // on this entry counts the Omega runs it actually saves.
     Outcome.UsedOmega = DisjunctUsedOmega;
-    Cache->insertHashed(DisjunctKey, DF, B, Outcome);
+    Cache.insertHashed(DisjunctKey, DF, B, Outcome);
   }
   return Result;
 }
@@ -213,9 +210,6 @@ SliceSolver::satisfiableTracked(const std::vector<Constraint> &Atoms) {
 SatResult SliceSolver::solveComponent(const std::vector<Constraint> &Atoms,
                                       const QueryBudget &B,
                                       support::ResourceGovernor *Gov) {
-  if (!Cache)
-    return satisfiableTracked(Atoms);
-
   // Canonical component formula: atoms sorted by interned id, so the memo
   // key — and the atom order the fresh solve below runs under — is a pure
   // function of the component's atom set. Two queries producing the same
@@ -238,7 +232,7 @@ SatResult SliceSolver::solveComponent(const std::vector<Constraint> &Atoms,
   QueryBudget CompBudget = B;
   CompBudget.SolverSlicing = QueryBudget::SlicingComponent;
   uint64_t Key = ProverCache::keyFor(F, CompBudget);
-  if (std::optional<SatOutcome> Hit = Cache->lookupHashed(Key, F, CompBudget)) {
+  if (std::optional<SatOutcome> Hit = Cache.lookupHashed(Key, F, CompBudget)) {
     ++Counters.CacheHits;
     if (Hit->UsedOmega)
       ++Counters.OmegaAvoided;
@@ -267,6 +261,6 @@ SatResult SliceSolver::solveComponent(const std::vector<Constraint> &Atoms,
   // not on (formula, budget); mirror the prover's rule and keep it out
   // of the memo.
   if (!(Gov && Gov->exhausted()))
-    Cache->insertHashed(Key, F, CompBudget, Outcome);
+    Cache.insertHashed(Key, F, CompBudget, Outcome);
   return R;
 }

@@ -102,17 +102,13 @@ unsigned partitionComponents(const std::vector<Constraint> &Atoms,
 
 } // namespace slice
 
-/// The slicing layer the prover routes disjunct queries through. Holds a
-/// reference to the prover's tiered solver and (optionally) its result
-/// cache; stateless apart from counters.
+/// The slicing layer the prover routes disjunct queries through. Holds
+/// references to the prover's tiered solver and result cache; stateless
+/// apart from counters.
 class SliceSolver {
 public:
-  SliceSolver(TieredSolver &Solver, ProverCache *Cache)
+  SliceSolver(TieredSolver &Solver, ProverCache &Cache)
       : Solver(Solver), Cache(Cache) {}
-
-  /// Re-points the memo table (the prover finishes cache setup after
-  /// construction). Null disables memoization but not decomposition.
-  void setCache(ProverCache *C) { Cache = C; }
 
   /// Decides satisfiability of the conjunction of \p Conjuncts via
   /// component decomposition with memoization. \p DF is the disjunct's
@@ -157,7 +153,7 @@ private:
   SatResult satisfiableTracked(const std::vector<Constraint> &Atoms);
 
   TieredSolver &Solver;
-  ProverCache *Cache;
+  ProverCache &Cache;
   SliceStats Counters;
   /// Whether the disjunct currently being solved consulted the Omega
   /// tier live (component cache hits don't count — their Omega run was

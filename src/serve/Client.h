@@ -32,11 +32,13 @@ public:
   Client(const Client &) = delete;
   Client &operator=(const Client &) = delete;
 
-  /// Bounds connect() and every subsequent send/receive. 0 (default)
-  /// blocks forever, the pre-existing behavior. With a bound, a wedged
-  /// daemon — accepting but never responding — surfaces as a structured
-  /// "timed out" error instead of hanging the client. Takes effect on
-  /// the next connect().
+  /// The bound a Client starts with.
+  static constexpr unsigned DefaultTimeoutMs = 30000;
+
+  /// Bounds connect() and every subsequent send/receive; 0 blocks
+  /// forever. With a bound, a wedged daemon — accepting but never
+  /// responding — surfaces as a structured "timed out" error instead of
+  /// hanging the client. Takes effect on the next connect().
   void setTimeoutMs(unsigned Ms) { TimeoutMs = Ms; }
 
   /// Connects to a server's socket. False (with \p Error) on failure.
@@ -68,7 +70,7 @@ public:
 
 private:
   int Fd = -1;
-  unsigned TimeoutMs = 0;
+  unsigned TimeoutMs = DefaultTimeoutMs;
 };
 
 } // namespace serve

@@ -338,9 +338,11 @@ bool Server::handleFrame(Conn &C, MsgType Type, std::string_view Payload) {
     return true;
   case MsgType::StatsRequest: {
     std::ostringstream OS;
-    if (Opts.Metrics)
+    if (Opts.Metrics) {
+      if (Certs)
+        Certs->publish(*Opts.Metrics);
       Opts.Metrics->writeJson(OS);
-    else
+    } else
       OS << "{}";
     queueFrame(C, encodeFrame(MsgType::StatsResponse, OS.str()));
     return true;

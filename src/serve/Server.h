@@ -90,7 +90,8 @@ struct ServerOptions {
   uint64_t ProverStepsCap = 0;
   /// Bound on the shared prover-cache entry count.
   size_t SharedCacheMaxEntries = size_t(1) << 20;
-  /// Observability sink ("serve/*" counters; cert/store/* on stop).
+  /// Observability sink ("serve/*" counters; cert/store/* at every
+  /// stats request and on stop).
   /// Non-owning; may be null.
   support::MetricsRegistry *Metrics = nullptr;
   /// Crash containment: run every check in one of `Jobs` supervised

@@ -60,7 +60,7 @@ bool ResourceGovernor::poll(const char *Where) {
   if (HasDeadline) {
     // The stride counter is deliberately thread-local rather than a
     // member: a shared atomic counter would put a locked RMW on every
-    // poll, which is the whole cost of polling (see bench_governor).
+    // poll, which would be the whole cost of polling.
     // Sharing one counter across governors only perturbs *when* within
     // a stride the clock is read, never whether it is read.
     thread_local uint64_t PollCount = 0;

@@ -127,17 +127,6 @@ TEST(Prover, CacheHitsOnRepeatedQueries) {
   EXPECT_GT(P.stats().CacheHits, HitsBefore);
 }
 
-TEST(Prover, CacheCanBeDisabled) {
-  Prover::Options Opts;
-  Opts.EnableCache = false;
-  Prover P(Opts);
-  FormulaRef F = Formula::implies(ge(var("p.x").plusConstant(-5)),
-                                  ge(var("p.x").plusConstant(-3)));
-  P.checkValid(F);
-  P.checkValid(F);
-  EXPECT_EQ(P.stats().CacheHits, 0u);
-}
-
 TEST(Prover, SatInterface) {
   Prover P;
   EXPECT_EQ(P.checkSat(ge(var("p.x"))), SatResult::Sat);

@@ -30,11 +30,16 @@ std::vector<CheckJob> corpusJobs() {
   return Jobs;
 }
 
-std::string runCorpus(unsigned Jobs, CertStore *Store) {
+std::string runJobs(const std::vector<CheckJob> &Jobs, unsigned Workers,
+                    CertStore *Store) {
   ParallelCheckOptions Opts;
-  Opts.Jobs = Jobs;
+  Opts.Jobs = Workers;
   Opts.Check.Certs = Store;
-  return renderParallelReport(checkJobs(corpusJobs(), Opts));
+  return renderParallelReport(checkJobs(Jobs, Opts));
+}
+
+std::string runCorpus(unsigned Jobs, CertStore *Store) {
+  return runJobs(corpusJobs(), Jobs, Store);
 }
 
 struct TempDir {
@@ -98,6 +103,27 @@ TEST(RecheckDeterminism, MixedWarmColdBatchesStayDeterministic) {
   EXPECT_EQ(Store.stats().Hits, corpus::corpus().size() / 2);
   EXPECT_EQ(Store.stats().Writes - Pre,
             corpus::corpus().size() - corpus::corpus().size() / 2);
+}
+
+TEST(RecheckDeterminism, OneEditedProgramCostsOneColdCheck) {
+  // The edit-recheck loop: after a cold pass, one program's source
+  // changes by a trailing comment (same semantics, new bytes, new key).
+  // Only that program re-verifies cold; every other one hits.
+  TempDir T("edit");
+  CertStore Store(T.Dir);
+  runCorpus(4, &Store);
+  CertStore::Stats Cold = Store.stats();
+
+  std::vector<CheckJob> Edited = corpusJobs();
+  ASSERT_EQ(Edited.front().Name, "Sum");
+  Edited.front().Asm += "\n! edited\n";
+  std::string Recheck = runJobs(Edited, 4, &Store);
+  CertStore::Stats After = Store.stats();
+  EXPECT_EQ(After.Hits - Cold.Hits, Edited.size() - 1);
+  EXPECT_EQ(After.Misses - Cold.Misses, 1u);
+  EXPECT_EQ(After.Writes - Cold.Writes, 1u);
+  EXPECT_EQ(After.RevalidateFailed, 0u);
+  EXPECT_EQ(Recheck, runJobs(Edited, 4, nullptr));
 }
 
 } // namespace

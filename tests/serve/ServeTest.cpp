@@ -190,6 +190,41 @@ TEST(Serve, PingAndStatsRoundTrip) {
   Srv.wait();
 }
 
+TEST(Serve, StatsCarryLiveCertStoreCounters) {
+  // A live daemon's stats include the certificate store's running
+  // totals, and asking twice counts nothing twice.
+  support::MetricsRegistry Registry;
+  ServerOptions Opts;
+  Opts.SocketPath = freshSocketPath();
+  Opts.Jobs = 2;
+  Opts.Metrics = &Registry;
+  Opts.CertDir = Opts.SocketPath + ".certs";
+  std::filesystem::remove_all(Opts.CertDir);
+  Server Srv(Opts);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(Error)) << Error;
+
+  Client Conn;
+  ASSERT_TRUE(Conn.connect(Opts.SocketPath, Error)) << Error;
+  const CorpusProgram &P = corpus::corpus().front();
+  CheckResponseMsg Resp;
+  for (uint64_t Id = 1; Id <= 2; ++Id)
+    ASSERT_TRUE(Conn.check(checkRequest(P, Id), Resp, Error)) << Error;
+  std::string Json;
+  for (int Ask = 0; Ask < 2; ++Ask) {
+    ASSERT_TRUE(Conn.serverStats(Json, Error)) << Error;
+    EXPECT_EQ(Registry.value("cert/store/misses").value_or(-1), 1);
+    EXPECT_EQ(Registry.value("cert/store/writes").value_or(-1), 1);
+    EXPECT_EQ(Registry.value("cert/store/hits").value_or(-1), 1);
+  }
+  EXPECT_NE(Json.find("\"store\""), std::string::npos) << Json;
+
+  Srv.requestStop();
+  Srv.wait();
+  EXPECT_EQ(Registry.value("cert/store/hits").value_or(-1), 1);
+  std::filesystem::remove_all(Opts.CertDir);
+}
+
 TEST(Serve, SingleCheckReportMatchesLocalRun) {
   const CorpusProgram &P = corpus::corpus().front();
   ParallelCheckOptions LocalOpts;

@@ -115,12 +115,13 @@ void usage() {
       "                 with --connect: bound the connect and every\n"
       "                 server response wait; a wedged daemon fails\n"
       "                 with a structured driver/internal-error instead\n"
-      "                 of hanging (default 30000, 0 = wait forever)\n"
+      "                 of hanging (default %u, 0 = wait forever)\n"
       "  --ping         with --connect: round-trip a ping and exit\n"
       "  --server-stats with --connect: print the daemon's metrics JSON\n"
       "  --shutdown     with --connect: stop the daemon\n"
       "exit codes: 0 safe, 1 unsafe, 2 malformed input, 3 unknown,\n"
-      "            4 internal error\n");
+      "            4 internal error\n",
+      serve::Client::DefaultTimeoutMs);
 }
 
 enum class LintMode { On, Off, Only };
@@ -608,7 +609,7 @@ int main(int argc, char **argv) {
   std::optional<uint64_t> FaultSeed;
   std::string CertDir;
   std::string ConnectPath;
-  uint64_t ConnectTimeoutMs = 30000;
+  uint64_t ConnectTimeoutMs = serve::Client::DefaultTimeoutMs;
   bool Ping = false, Shutdown = false, ServerStats = false;
 
   // The trace switch is read from the environment once per invocation,
