@@ -68,11 +68,10 @@ struct GlobalVerifyOptions {
   unsigned MaxIterations = 3;   ///< Induction-iteration bound (paper: 3).
   bool UseGeneralization = true;
   bool ReuseInvariants = true;  ///< The grouping enhancement.
-  /// When set (and the prover has a cache), independent verification
-  /// conditions — per-obligation quick-discharge queries and
-  /// induction-iteration candidate-invariant implications — are
-  /// discharged concurrently on the pool by per-worker provers sharing
-  /// the main prover's cache. The sequential decision logic then reads
+  /// When set, independent verification conditions — per-obligation
+  /// quick-discharge queries and induction-iteration candidate-invariant
+  /// implications — are discharged concurrently on the pool by
+  /// per-worker provers sharing the main prover's cache. The sequential decision logic then reads
   /// every result back from the cache, so verdicts and reports are
   /// byte-identical with or without a pool (results are pure functions
   /// of formula structure and budget). Non-owning.

@@ -20,12 +20,6 @@ TieredSolver::Options solverOptions(const Prover::Options &O) {
   S.EnableCongruence = O.EnableCongruence;
   return S;
 }
-
-std::shared_ptr<ProverCache> privateCache(size_t MaxEntries) {
-  ProverCache::Config C;
-  C.MaxEntries = MaxEntries;
-  return std::make_shared<ProverCache>(C);
-}
 } // namespace
 
 // The slicer memoizes per-component verdicts in the same cache the
@@ -34,7 +28,8 @@ Prover::Prover(Options Opts, std::shared_ptr<ProverCache> SharedCache)
     : Opts(propagateGovernor(Opts)), Solver(solverOptions(this->Opts)),
       OwnsCache(!SharedCache),
       Cache(SharedCache ? std::move(SharedCache)
-                        : privateCache(Opts.CacheMaxEntries)),
+                        : std::make_shared<ProverCache>(
+                              ProverCache::Config{Opts.CacheMaxEntries})),
       Slicer(Solver, *Cache) {}
 
 QueryBudget Prover::budget() const {
