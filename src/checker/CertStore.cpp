@@ -122,8 +122,14 @@ bool parsePayload(std::string_view Payload, Certificate &Out) {
 
   // Formula re-interning touches the variable pool; suspending any
   // active VarNamespace keeps a check's deterministic fresh-name
-  // sequence independent of whether its certificate loaded.
+  // sequence independent of whether its certificate loaded. The formulas
+  // go into the base generation: a long-lived prover cache admits only
+  // base keys, so that is what lets a daemon's later requests hit the
+  // revalidation results of earlier ones. Global names make repeated
+  // loads of one certificate dedup, so the base grows with the number of
+  // distinct certificates, not with requests.
   VarScopeSuspend NoScope;
+  FormulaGenerationScope InBase(nullptr);
   std::optional<std::vector<FormulaRef>> Pool = loadFormulaPool(R);
   if (!Pool)
     return false;
@@ -365,9 +371,7 @@ void CertStore::publish(support::MetricsRegistry &Reg) const {
   // again (a live daemon answers every stats request this way) never
   // counts an event twice.
   auto Put = [&Reg](const char *Name, uint64_t Total) {
-    support::Counter &C = Reg.counter(Name);
-    if (Total > C.value())
-      C.inc(Total - C.value());
+    Reg.counter(Name).raiseTo(Total);
   };
   Stats S = stats();
   Put("cert/store/hits", S.Hits);

@@ -224,21 +224,26 @@ void Verifier::prefetchValidity(const std::vector<FormulaRef> &Queries) {
   // steps: the deterministic step sequence belongs to the sequential
   // pass alone (see Prover::Options::ChargeGovernorSteps).
   ProverOpts.ChargeGovernorSteps = false;
+  // The check's formula generation, captured here: the thread that runs
+  // a task may be a pool worker, or a thread helping another check.
+  FormulaInterner *Gen = FormulaGeneration::current();
   std::unordered_set<size_t> Seen;
   support::TaskGroup Group(Opts.Pool);
   for (const FormulaRef &Q : Queries) {
     if (Q->isTrue() || !Seen.insert(Q->hash()).second)
       continue;
     ++Stats.SpeculativeQueries;
-    Group.spawn([Q, SharedCache, ProverOpts] {
+    Group.spawn([Q, SharedCache, ProverOpts, Gen] {
       // Pool tasks run outside the check's VarNamespace: names minted
       // while answering the query must not consume the check's
-      // deterministic fresh-name counters.
+      // deterministic fresh-name counters. Their formulas still belong
+      // to the check's generation, which outlives them (Group.wait()).
       // A throwing pool task would std::terminate the process, so the
       // speculative path absorbs everything (it is only a cache warmer;
       // the sequential pass recomputes whatever is missing).
       try {
         VarScopeSuspend NoScope;
+        FormulaGenerationScope InCheck(Gen);
         Prover Local(ProverOpts, SharedCache);
         Local.checkValid(Q);
       } catch (...) {

@@ -106,15 +106,13 @@ ParallelCheckResult checker::checkJobs(const std::vector<CheckJob> &Jobs,
     Reg->gauge("parallel/jobs").set(NJobs);
     if (Shared) {
       // Shared-cache counters are published exactly once, from the cache
-      // itself. Per-worker Prover::stats() intentionally report 0
-      // evictions for a shared cache, so nothing here is double-counted.
+      // itself. The cache admits only base keys, so these count
+      // certificate revalidations; a cold batch reads 0.
       ProverCache::Stats CS = Shared->stats();
       Reg->counter("cache/shared/hits").inc(CS.Hits);
       Reg->counter("cache/shared/misses").inc(CS.Misses);
-      // The whole-query/component split of the aggregates above: warm
-      // slice components are where the sharing pays off across workers,
-      // so the rates are reported separately (Hits == QueryHits +
-      // ComponentHits, same for misses).
+      // The whole-query/component split of the aggregates above (Hits ==
+      // QueryHits + ComponentHits, same for misses).
       Reg->counter("cache/shared/query_hits").inc(CS.QueryHits);
       Reg->counter("cache/shared/query_misses").inc(CS.QueryMisses);
       Reg->counter("cache/shared/component_hits").inc(CS.ComponentHits);

@@ -11,10 +11,11 @@
 ///
 ///   - corpus-level: each program is checked on its own worker, inside
 ///     its own VarNamespace (so its variable-id and fresh-name sequences
-///     depend only on its own inputs, not on scheduling);
+///     depend only on its own inputs, not on scheduling, and its formula
+///     nodes are freed when it ends);
 ///   - VC-level: each check hands the pool to phase 5, which discharges
 ///     independent verification conditions speculatively through the
-///     shared prover cache.
+///     check's own prover cache.
 ///
 /// Determinism contract: verdicts and diagnostics are byte-identical for
 /// any job count, including 1. Timing and cache counters naturally vary.
@@ -49,8 +50,11 @@ struct ParallelCheckOptions {
   SafetyChecker::Options Check;
   /// Bound on the shared formula-result cache.
   size_t SharedCacheMaxEntries = size_t(1) << 20;
-  /// Share one prover cache across all jobs (and their speculative VC
-  /// workers). Off gives each check a private cache.
+  /// Back every check's private prover cache with one batch-wide cache.
+  /// That cache outlives the checks, so it admits only base-generation
+  /// keys (Formula.h): certificate formulas, when Check.Certs is set.
+  /// Checks never share their own queries, which are all distinct (each
+  /// check mints its own variables); on and off give identical hits.
   bool ShareProverCache = true;
   /// Also discharge independent VCs inside each check on the pool.
   bool VcParallelism = true;

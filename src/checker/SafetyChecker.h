@@ -112,10 +112,11 @@ public:
   struct Options {
     GlobalVerifyOptions Global;
     Prover::Options ProverOpts;
-    /// When set, the phase-5 prover attaches to this cache instead of a
-    /// private one. Shared across concurrent checks (the cache is
-    /// thread-safe); sharing is sound because entries are keyed on
-    /// formula structure plus query budget.
+    /// When set, a cache that outlives the check (a batch's or a
+    /// daemon's). The phase-5 prover and certificate revalidation keep
+    /// the check's own queries in a private cache backed by this one,
+    /// which sees only base-generation keys (certificate formulas); see
+    /// ProverCache.h.
     std::shared_ptr<ProverCache> SharedProverCache;
     /// Run the phase-0 dataflow lint before typestate propagation.
     bool Lint = true;

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 using namespace mcsafe;
@@ -19,45 +20,166 @@ using namespace mcsafe;
 // The interner
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Live totals over the base and every generation not yet freed.
+std::atomic<uint64_t> LiveNodes{0};
+std::atomic<uint64_t> LiveBytes{0};
+std::atomic<uint64_t> DedupHits{0};
+/// Node ids: one process-wide counter, whatever the generation.
+std::atomic<uint64_t> NextId{0};
+/// Generation serials; 0 is the base.
+std::atomic<uint64_t> NextSerial{1};
+
+/// This thread's interning target; null means the base.
+thread_local FormulaInterner *Current = nullptr;
+
+} // namespace
+
 namespace mcsafe {
 
-/// The process-wide hash-consing table. Nodes are immortal: they are
-/// placement-constructed into arena slabs and never destroyed, so a
-/// FormulaRef (a bare pointer) can be copied freely across threads and
-/// cached for the process lifetime, exactly like interned VarIds. The
-/// singleton itself is heap-allocated and intentionally leaked so no
-/// static-destruction order can invalidate live handles (it stays
-/// reachable from the global pointer, which keeps LeakSanitizer quiet).
+/// One hash-consing table: the immortal base, or a generation. A node is
+/// placement-constructed into its table's arena slabs and destroyed with
+/// its table, so a FormulaRef (a bare pointer) can be copied freely
+/// across threads for as long as its generation lives. The base is
+/// heap-allocated and intentionally leaked so no static-destruction order
+/// can invalidate live handles (it stays reachable from the global
+/// pointer, which keeps LeakSanitizer quiet).
 class FormulaInterner {
 public:
-  static FormulaInterner &get() {
-    static FormulaInterner *I = new FormulaInterner();
-    return *I;
+  static FormulaInterner &base() {
+    static FormulaInterner *B = new FormulaInterner(0);
+    return *B;
   }
 
-  /// Interns a node with the given shape, returning the canonical ref.
-  /// \p Children must already be canonical refs.
-  FormulaRef intern(FormulaKind Kind, VarId BoundVar,
-                    std::optional<Constraint> Atom,
-                    std::vector<FormulaRef> Children) {
+  explicit FormulaInterner(uint64_t Serial) : Serial(Serial) {
+    // True and False live in the base before anything else is interned,
+    // so a function-local static handle to them can never land in a
+    // generation.
+    if (Serial == 0) {
+      TrueNode = insert(FormulaKind::True, VarId(), {}, {});
+      FalseNode = insert(FormulaKind::False, VarId(), {}, {});
+    }
+  }
+
+  ~FormulaInterner() {
+    uint64_t Nodes = 0, Bytes = 0;
+    for (Shard &S : Shards) {
+      for (auto &[Hash, Chain] : S.Table)
+        for (const Formula *N : Chain)
+          N->~Formula();
+      Nodes += S.NodeCount;
+      Bytes += S.NodeArena.bytesReserved();
+    }
+    LiveNodes.fetch_sub(Nodes, std::memory_order_relaxed);
+    LiveBytes.fetch_sub(Bytes, std::memory_order_relaxed);
+  }
+
+  /// Interns a node with the given shape into this thread's target,
+  /// returning the canonical ref. \p Children must already be canonical
+  /// refs, each in the target or in the base.
+  static FormulaRef intern(FormulaKind Kind, VarId BoundVar,
+                           std::optional<Constraint> Atom,
+                           std::vector<FormulaRef> Children) {
     // Injected allocator fault: simulate memory exhaustion at the one
     // chokepoint every formula passes through. The check boundary turns
     // the bad_alloc into an InternalError verdict, never a crash.
     if (support::faultPoint("alloc/formula"))
       throw std::bad_alloc();
 
-    uint64_t Hash = hashNode(Kind, BoundVar, Atom, Children);
-    Shard &S = Shards[Hash % NumShards];
-    std::lock_guard<std::mutex> L(S.M);
-    auto It = S.Table.find(Hash);
-    if (It != S.Table.end()) {
-      for (const Formula *N : It->second)
-        if (sameNode(*N, Kind, BoundVar, Atom, Children)) {
-          DedupHits.fetch_add(1, std::memory_order_relaxed);
-          return FormulaRef(N);
-        }
+    FormulaInterner &Base = base();
+    FormulaInterner &Target = Current ? *Current : Base;
+    bool AllBase = true;
+    for (const FormulaRef &C : Children) {
+      if (C->Gen == 0)
+        continue;
+      AllBase = false;
+      // A node outliving a child would leave a dangling pointer behind;
+      // the check boundary turns this into an InternalError instead.
+      if (C->Gen != Target.Serial)
+        throw std::logic_error("formula node mixes generations");
     }
 
+    uint64_t Hash = hashNode(Kind, BoundVar, Atom, Children);
+    Shard &S = Target.shardFor(Hash);
+    std::lock_guard<std::mutex> L(S.M);
+    if (const Formula *N = S.find(Hash, Kind, BoundVar, Atom, Children))
+      return hit(N);
+    // A generation node over base children may already exist in the base
+    // (a certificate formula being revalidated). The lock order is always
+    // generation shard, then base shard.
+    if (&Target != &Base && AllBase) {
+      Shard &BS = Base.shardFor(Hash);
+      std::lock_guard<std::mutex> BL(BS.M);
+      if (const Formula *N = BS.find(Hash, Kind, BoundVar, Atom, Children))
+        return hit(N);
+    }
+    return Target.insertLocked(S, Hash, Kind, BoundVar, std::move(Atom),
+                               std::move(Children));
+  }
+
+  static Formula::InternStats stats() {
+    Formula::InternStats Out;
+    Out.Nodes = LiveNodes.load(std::memory_order_relaxed);
+    Out.DedupHits = DedupHits.load(std::memory_order_relaxed);
+    Out.Bytes = LiveBytes.load(std::memory_order_relaxed);
+    return Out;
+  }
+
+  const uint64_t Serial;
+  FormulaRef TrueNode, FalseNode; ///< Set in the base only.
+
+private:
+  static constexpr unsigned NumShards = 16;
+  /// Slab size. A check interns a few hundred nodes per shard at most,
+  /// so small slabs keep a short-lived generation's footprint small.
+  static constexpr size_t SlabBytes = 16 * 1024;
+
+  struct Shard {
+    mutable std::mutex M;
+    /// Hash -> collision chain of canonical nodes.
+    std::unordered_map<uint64_t, std::vector<const Formula *>> Table;
+    /// Node storage. Nodes hold std::vector members whose heap blocks
+    /// stay reachable through this slab until the table's destructor
+    /// destroys them, so nothing leaks in the LeakSanitizer sense.
+    support::Arena NodeArena{SlabBytes};
+    uint64_t NodeCount = 0;
+
+    const Formula *find(uint64_t Hash, FormulaKind Kind, VarId BoundVar,
+                        const std::optional<Constraint> &Atom,
+                        const std::vector<FormulaRef> &Children) const {
+      auto It = Table.find(Hash);
+      if (It != Table.end())
+        for (const Formula *N : It->second)
+          if (sameNode(*N, Kind, BoundVar, Atom, Children))
+            return N;
+      return nullptr;
+    }
+  };
+
+  Shard &shardFor(uint64_t Hash) { return Shards[Hash % NumShards]; }
+
+  static FormulaRef hit(const Formula *N) {
+    DedupHits.fetch_add(1, std::memory_order_relaxed);
+    return FormulaRef(N);
+  }
+
+  /// Creates a node known to be new in this table.
+  FormulaRef insert(FormulaKind Kind, VarId BoundVar,
+                    std::optional<Constraint> Atom,
+                    std::vector<FormulaRef> Children) {
+    uint64_t Hash = hashNode(Kind, BoundVar, Atom, Children);
+    Shard &S = shardFor(Hash);
+    std::lock_guard<std::mutex> L(S.M);
+    return insertLocked(S, Hash, Kind, BoundVar, std::move(Atom),
+                        std::move(Children));
+  }
+
+  /// Creates a node in \p S. Caller holds S.M.
+  FormulaRef insertLocked(Shard &S, uint64_t Hash, FormulaKind Kind,
+                          VarId BoundVar, std::optional<Constraint> Atom,
+                          std::vector<FormulaRef> Children) {
+    size_t Reserved = S.NodeArena.bytesReserved();
     Formula *N = ::new (S.NodeArena.allocate(sizeof(Formula),
                                              alignof(Formula))) Formula();
     N->Kind = Kind;
@@ -66,6 +188,7 @@ public:
     N->Atom = std::move(Atom);
     N->Children = std::move(Children);
     N->Id = NextId.fetch_add(1, std::memory_order_relaxed);
+    N->Gen = Serial;
     N->TreeSize = 1;
     for (const FormulaRef &C : N->Children) {
       uint64_t Sum = N->TreeSize + C->TreeSize;
@@ -74,22 +197,11 @@ public:
     computeFreeVars(*N);
     S.Table[Hash].push_back(N);
     ++S.NodeCount;
+    LiveNodes.fetch_add(1, std::memory_order_relaxed);
+    LiveBytes.fetch_add(S.NodeArena.bytesReserved() - Reserved,
+                        std::memory_order_relaxed);
     return FormulaRef(N);
   }
-
-  Formula::InternStats stats() const {
-    Formula::InternStats Out;
-    Out.DedupHits = DedupHits.load(std::memory_order_relaxed);
-    for (const Shard &S : Shards) {
-      std::lock_guard<std::mutex> L(S.M);
-      Out.Nodes += S.NodeCount;
-      Out.Bytes += S.NodeArena.bytesReserved();
-    }
-    return Out;
-  }
-
-private:
-  FormulaInterner() = default;
 
   static uint64_t hashNode(FormulaKind Kind, VarId BoundVar,
                            const std::optional<Constraint> &Atom,
@@ -161,34 +273,53 @@ private:
     }
   }
 
-  static constexpr unsigned NumShards = 16;
-  struct Shard {
-    mutable std::mutex M;
-    /// Hash -> collision chain of canonical nodes.
-    std::unordered_map<uint64_t, std::vector<const Formula *>> Table;
-    /// Immortal node storage. Nodes hold std::vector members whose heap
-    /// blocks stay reachable through this slab, so nothing ever leaks in
-    /// the LeakSanitizer sense even though nothing is freed.
-    support::Arena NodeArena;
-    uint64_t NodeCount = 0;
-  };
-
   Shard Shards[NumShards];
-  std::atomic<uint32_t> NextId{0};
-  std::atomic<uint64_t> DedupHits{0};
 };
 
 } // namespace mcsafe
 
 Formula::InternStats Formula::internStats() {
-  return FormulaInterner::get().stats();
+  return FormulaInterner::stats();
+}
+
+FormulaGeneration::FormulaGeneration()
+    : Interner(new FormulaInterner(
+          NextSerial.fetch_add(1, std::memory_order_relaxed))),
+      Saved(Current) {
+  Current = Interner;
+}
+
+FormulaGeneration::~FormulaGeneration() {
+  assert(Current == Interner && "FormulaGeneration ended out of order");
+  Current = Saved;
+  delete Interner;
+}
+
+FormulaInterner *FormulaGeneration::current() { return Current; }
+
+uint64_t FormulaGeneration::currentSerial() {
+  return Current ? Current->Serial : 0;
+}
+
+FormulaGenerationScope::FormulaGenerationScope(FormulaInterner *Target)
+    : Saved(Current) {
+  Current = Target;
+}
+
+FormulaGenerationScope::~FormulaGenerationScope() { Current = Saved; }
+
+/// Whether \p F may memoize \p Result: only when Result lives at least as
+/// long as F, i.e. in F's own generation or in the base.
+static bool mayMemoize(const Formula &F, const FormulaRef &Result) {
+  return Result->generation() == 0 ||
+         Result->generation() == F.generation();
 }
 
 static FormulaRef internNode(FormulaKind Kind, VarId BoundVar,
                              std::optional<Constraint> Atom,
                              std::vector<FormulaRef> Children) {
-  return FormulaInterner::get().intern(Kind, BoundVar, std::move(Atom),
-                                       std::move(Children));
+  return FormulaInterner::intern(Kind, BoundVar, std::move(Atom),
+                                 std::move(Children));
 }
 
 //===----------------------------------------------------------------------===//
@@ -196,12 +327,12 @@ static FormulaRef internNode(FormulaKind Kind, VarId BoundVar,
 //===----------------------------------------------------------------------===//
 
 FormulaRef Formula::mkTrue() {
-  static FormulaRef T = internNode(FormulaKind::True, VarId(), {}, {});
+  static const FormulaRef T = FormulaInterner::base().TrueNode;
   return T;
 }
 
 FormulaRef Formula::mkFalse() {
-  static FormulaRef F = internNode(FormulaKind::False, VarId(), {}, {});
+  static const FormulaRef F = FormulaInterner::base().FalseNode;
   return F;
 }
 
@@ -345,7 +476,8 @@ FormulaRef Formula::negate(const FormulaRef &F) {
   FormulaRef Result = computeNegate(F);
   // Negation is a pure function onto canonical nodes, so concurrent
   // writers always store the same pointer.
-  F->NegMemo.store(Result.get(), std::memory_order_release);
+  if (mayMemoize(*F, Result))
+    F->NegMemo.store(Result.get(), std::memory_order_release);
   return Result;
 }
 
@@ -517,6 +649,7 @@ FormulaRef mcsafe::simplify(const FormulaRef &F) {
   if (const Formula *Memo = F->SimpMemo.load(std::memory_order_acquire))
     return FormulaRef(Memo);
   FormulaRef Result = computeSimplify(F);
-  F->SimpMemo.store(Result.get(), std::memory_order_release);
+  if (mayMemoize(*F, Result))
+    F->SimpMemo.store(Result.get(), std::memory_order_release);
   return Result;
 }

@@ -16,12 +16,24 @@
 /// negate to atoms; EQ negates to a disjunction of two strict
 /// inequalities), and swaps And/Or and Exists/Forall.
 ///
-/// Nodes are hash-consed: a process-wide, thread-safe interner gives every
-/// structurally distinct formula exactly one immortal node, identified by
-/// a canonical 32-bit id. Structural equality is therefore a pointer
-/// compare, and each node carries its structural hash, its tree size, and
-/// its sorted free-variable set, memoized at interning time. FormulaRef is
-/// a trivially-copyable handle (one pointer) onto such a node.
+/// Nodes are hash-consed: a thread-safe interner gives every structurally
+/// distinct formula exactly one node, identified by a canonical 64-bit id.
+/// Structural equality is therefore a pointer compare, and each node
+/// carries its structural hash, its tree size, and its sorted
+/// free-variable set, memoized at interning time. FormulaRef is a
+/// trivially-copyable handle (one pointer) onto such a node.
+///
+/// Nodes live in *generations*. The base is process-wide and immortal: it
+/// holds True/False, certificate formulas, and everything interned outside
+/// any check. Each VarNamespace (one per check) opens a private generation
+/// on its thread; nodes interned there are freed together when the
+/// namespace ends, so a resident daemon's memory does not grow with the
+/// checks it has run. A node points only into its own generation or into
+/// the base, and a base node never memoizes a generation node. A check's
+/// formulas mention only that check's namespace-private variables, so no
+/// node of one check could be reused by another anyway. Node ids come from
+/// one process-wide counter whatever the generation, so sorting by id
+/// orders atoms the same way in every generation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +55,9 @@ namespace mcsafe {
 class Formula;
 class FormulaInterner;
 
-/// A handle to an interned, immortal formula node. Equality of handles is
-/// structural equality of formulas (hash-consing canonicalizes).
+/// A handle to an interned formula node. Equality of handles is structural
+/// equality of formulas (hash-consing canonicalizes). A handle to a
+/// generation node dangles once its generation ends.
 class FormulaRef {
 public:
   constexpr FormulaRef() = default;
@@ -106,7 +119,8 @@ private:
 };
 
 /// An immutable, interned formula node. Instances are created only by the
-/// interner (via the smart constructors) and live for the process.
+/// interner (via the smart constructors) and live as long as their
+/// generation: the process for base nodes, one check for the others.
 class Formula {
 public:
   // --- Smart constructors (perform local simplification). ----------------
@@ -149,7 +163,12 @@ public:
   VarId boundVar() const { return BoundVar; }
 
   /// The canonical interner id: equal ids <=> structurally equal formulas.
-  uint32_t id() const { return Id; }
+  /// 64 bits, so ids never wrap even though generations are freed and a
+  /// daemon keeps interning for its whole life.
+  uint64_t id() const { return Id; }
+
+  /// The serial of the generation the node lives in; 0 for the base.
+  uint64_t generation() const { return Gen; }
 
   /// Total node count of the formula as a tree (used for blowup budgets;
   /// shared subterms count once per occurrence). Memoized.
@@ -176,11 +195,12 @@ public:
 
   std::string str() const;
 
-  /// Interner occupancy, surfaced as a metrics gauge.
+  /// Interner occupancy, surfaced as metrics gauges: live totals over the
+  /// base and every generation not yet freed.
   struct InternStats {
-    uint64_t Nodes = 0;      ///< Distinct formula nodes interned.
+    uint64_t Nodes = 0;      ///< Live formula nodes.
     uint64_t DedupHits = 0;  ///< Constructions answered by an existing node.
-    uint64_t Bytes = 0;      ///< Node-slab bytes reserved by the interner.
+    uint64_t Bytes = 0;      ///< Node-slab bytes the live nodes occupy.
   };
   static InternStats internStats();
 
@@ -191,19 +211,60 @@ private:
 
   FormulaKind Kind = FormulaKind::True;
   VarId BoundVar;
-  uint32_t Id = 0;
+  uint64_t Id = 0;
+  uint64_t Gen = 0;
   uint64_t Hash = 0;
   uint64_t TreeSize = 1;
   std::vector<FormulaRef> Children;
   std::optional<Constraint> Atom; ///< Set for Atom nodes.
   FreeVarSet Free;
   /// Memoized negation / simplification results (null until computed).
-  /// Benignly racy: all writers store the same canonical node.
+  /// Benignly racy: all writers store the same canonical node. Only set to
+  /// a node of this node's generation or of the base, so a memo never
+  /// outlives its target.
   mutable std::atomic<const Formula *> NegMemo{nullptr};
   mutable std::atomic<const Formula *> SimpMemo{nullptr};
 
   friend class FormulaInterner;
   friend FormulaRef simplify(const FormulaRef &F);
+};
+
+/// RAII: opens a fresh generation and makes it this thread's interning
+/// target until destruction, which frees every node interned into it.
+/// VarNamespace holds one, so each check gets its own. Generations nest
+/// (the previous target is restored), but must end in LIFO order on the
+/// thread that opened them, after every other thread stopped using them.
+class FormulaGeneration {
+public:
+  FormulaGeneration();
+  ~FormulaGeneration();
+  FormulaGeneration(const FormulaGeneration &) = delete;
+  FormulaGeneration &operator=(const FormulaGeneration &) = delete;
+
+  /// This thread's interning target; null means the base.
+  static FormulaInterner *current();
+  /// The serial of current(); 0 for the base.
+  static uint64_t currentSerial();
+
+private:
+  FormulaInterner *Interner;
+  FormulaInterner *Saved;
+};
+
+/// RAII: routes this thread's interning into \p Target (null: the base)
+/// until destruction. A pool task working for a check captures the
+/// check's FormulaGeneration::current() at spawn time and installs it
+/// here, since the thread that runs it may belong to another check or to
+/// none. Certificate loading installs the base.
+class FormulaGenerationScope {
+public:
+  explicit FormulaGenerationScope(FormulaInterner *Target);
+  ~FormulaGenerationScope();
+  FormulaGenerationScope(const FormulaGenerationScope &) = delete;
+  FormulaGenerationScope &operator=(const FormulaGenerationScope &) = delete;
+
+private:
+  FormulaInterner *Saved;
 };
 
 /// Bottom-up simplification: constant-folds atoms, re-runs the smart

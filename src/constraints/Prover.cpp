@@ -23,13 +23,18 @@ TieredSolver::Options solverOptions(const Prover::Options &O) {
 } // namespace
 
 // The slicer memoizes per-component verdicts in the same cache the
-// whole-query results live in (budget-tagged apart).
+// whole-query results live in (budget-tagged apart). A shared cache bound
+// to this thread's formula generation is used as is; one that outlives the
+// generation (a batch's or a daemon's, bound to the base) would admit only
+// base keys, so it backs a private cache instead of replacing it.
 Prover::Prover(Options Opts, std::shared_ptr<ProverCache> SharedCache)
     : Opts(propagateGovernor(Opts)), Solver(solverOptions(this->Opts)),
-      OwnsCache(!SharedCache),
-      Cache(SharedCache ? std::move(SharedCache)
-                        : std::make_shared<ProverCache>(
-                              ProverCache::Config{Opts.CacheMaxEntries})),
+      OwnsCache(!SharedCache || SharedCache->generation() !=
+                                    FormulaGeneration::currentSerial()),
+      Cache(OwnsCache ? std::make_shared<ProverCache>(
+                            ProverCache::Config{Opts.CacheMaxEntries},
+                            std::move(SharedCache))
+                      : std::move(SharedCache)),
       Slicer(Solver, *Cache) {}
 
 QueryBudget Prover::budget() const {
@@ -117,7 +122,7 @@ SatOutcome Prover::checkSatInternal(const FormulaRef &F) {
       // query in any atom order under canonical component solving).
       // toDNF distributes the same subtrees into many disjuncts, so
       // repeats are common.
-      std::unordered_set<uint32_t> SeenDisjuncts;
+      std::unordered_set<uint64_t> SeenDisjuncts;
       // A single-disjunct DNF (by far the common case) needs neither the
       // dedup set nor a disjunct-level memo entry: the whole-query cache
       // entry written below already memoizes exactly this query, and

@@ -25,9 +25,10 @@
 /// enhancement sketched in Section 5.2.3 of the paper ("represent
 /// formulas in a canonical form and use previous results whenever
 /// possible"). The cache (see ProverCache.h) is bounded, and can be
-/// shared between provers: the parallel verification engine gives every
-/// worker its own Prover over one shared cache, which is sound because
-/// outcomes are pure functions of formula structure and budget.
+/// shared between provers: a check's speculative VC workers each get their
+/// own Prover over the check's cache, which is sound because outcomes are
+/// pure functions of formula structure and budget. A cache that outlives
+/// the check only ever sees the check's base-generation keys.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,7 +116,10 @@ public:
   Prover() : Prover(Options()) {}
   explicit Prover(Options Opts) : Prover(Opts, nullptr) {}
   /// A prover over a shared result cache. All provers sharing one cache
-  /// may use different budgets — entries are budget-keyed.
+  /// may use different budgets — entries are budget-keyed. When
+  /// \p SharedCache is bound to another formula generation than this
+  /// thread's (a long-lived cache used inside a check), the prover owns a
+  /// private cache for the check's keys, backed by \p SharedCache.
   Prover(Options Opts, std::shared_ptr<ProverCache> SharedCache);
 
   /// Is the conjunction-closure of \p F satisfiable (free variables
@@ -153,8 +157,8 @@ public:
   }
 
   const Options &options() const { return Opts; }
-  /// The attached cache (never null). Hand this to another Prover to
-  /// share results.
+  /// The attached cache (never null). Hand this to another Prover in the
+  /// same formula generation to share results.
   std::shared_ptr<ProverCache> cacheHandle() const { return Cache; }
   /// The budgets queries of this prover run under (the cache key part).
   QueryBudget budget() const;
@@ -166,7 +170,8 @@ private:
 
   Options Opts;
   TieredSolver Solver;
-  /// True when this prover created Cache itself (nobody else shares it).
+  /// True when this prover created Cache itself (nobody else shares it,
+  /// though it may be backed by a long-lived cache).
   bool OwnsCache;
   std::shared_ptr<ProverCache> Cache;
   SliceSolver Slicer;
@@ -174,7 +179,7 @@ private:
   /// Certificate witness sink; null when not recording.
   std::vector<QueryRecord> *Transcript = nullptr;
   /// Formula ids already recorded (one witness per distinct query).
-  std::unordered_set<uint32_t> TranscriptSeen;
+  std::unordered_set<uint64_t> TranscriptSeen;
 };
 
 /// Visits every slicing counter of \p S as (metric name, value). This is

@@ -26,7 +26,10 @@ uint64_t ProverCache::keyFor(const FormulaRef &F, const QueryBudget &B) {
   return combine64(mix64(F->id()), B.hash());
 }
 
-ProverCache::ProverCache(const Config &C) {
+ProverCache::ProverCache(const Config &C,
+                         std::shared_ptr<ProverCache> Backing)
+    : Generation(FormulaGeneration::currentSerial()),
+      Backing(std::move(Backing)) {
   unsigned ShardCount = std::max(1u, C.Shards);
   // Per-shard hot capacity; hot + cold together stay within MaxEntries.
   PerShardCap = std::max<size_t>(1, C.MaxEntries / (2 * ShardCount));
@@ -69,9 +72,18 @@ std::optional<SatOutcome> ProverCache::lookup(const FormulaRef &F,
 std::optional<SatOutcome> ProverCache::lookupHashed(uint64_t Key,
                                                     const FormulaRef &F,
                                                     const QueryBudget &B) {
+  if (Backing && F->generation() == 0)
+    return Backing->lookupHashed(Key, F, B);
   const bool Component = B.SolverSlicing == QueryBudget::SlicingComponent;
   Shard &S = shardFor(Key);
   std::lock_guard<std::mutex> L(S.M);
+  // A key from another generation is never searched for: it could only
+  // match a stale entry at a reused address.
+  if (!admits(F)) {
+    ++S.Misses;
+    ++(Component ? S.ComponentMisses : S.QueryMisses);
+    return std::nullopt;
+  }
   if (const Entry *E = findIn(S.Hot, Key, F, B)) {
     ++S.Hits;
     ++(Component ? S.ComponentHits : S.QueryHits);
@@ -105,6 +117,10 @@ void ProverCache::insert(const FormulaRef &F, const QueryBudget &B,
 
 void ProverCache::insertHashed(uint64_t Key, const FormulaRef &F,
                                const QueryBudget &B, SatOutcome O) {
+  if (Backing && F->generation() == 0)
+    return Backing->insertHashed(Key, F, B, O);
+  if (!admits(F))
+    return;
   Shard &S = shardFor(Key);
   std::lock_guard<std::mutex> L(S.M);
   // Concurrent workers may race to compute the same query; keep the

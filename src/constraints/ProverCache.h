@@ -8,8 +8,20 @@
 /// \file
 /// The satisfiability-result cache behind the prover — the Section 5.2.3
 /// caching enhancement, grown into a shared, bounded, thread-safe memo
-/// table so that the parallel verification engine's per-worker provers
-/// can pool their results.
+/// table so that a check's prover and its speculative VC workers can pool
+/// their results.
+///
+/// Keys are node pointers, so a cache must never hold a key whose
+/// formula generation (Formula.h) has ended: a new node at the reused
+/// address would be a false hit. A cache is therefore bound to the
+/// generation current when it is built, and admits only keys of that
+/// generation or of the base. A check's own cache lives inside the
+/// check's generation; a cache that outlives checks (a batch's, a
+/// daemon's) is built outside every generation and so admits only base
+/// keys — certificate formulas, in practice. A check's cache can be
+/// backed by such a long-lived cache, to which it routes its base keys.
+/// Checks never share anything else: each mints its own variables, so
+/// the queries of two checks never coincide.
 ///
 /// Entries are keyed by the formula's interned node id (hash-consing makes
 /// the id a complete witness of structure), verified on key collision with
@@ -95,7 +107,7 @@ struct QueryBudget {
 
 /// A bounded, sharded, thread-safe formula-result cache, shareable
 /// between provers (results are pure functions of formula structure and
-/// budget, so sharing across workers — and across programs — is sound).
+/// budget, so sharing across workers is sound).
 class ProverCache {
 public:
   struct Config {
@@ -121,12 +133,24 @@ public:
   };
 
   ProverCache() : ProverCache(Config()) {}
-  explicit ProverCache(const Config &C);
+  /// A cache bound to this thread's current formula generation. Lookups
+  /// and insertions of base keys go to \p Backing when it is set.
+  explicit ProverCache(const Config &C,
+                       std::shared_ptr<ProverCache> Backing = nullptr);
 
-  /// Looks up the outcome cached for \p F under budget \p B.
+  /// The serial of the formula generation this cache is bound to (0: the
+  /// base). It admits keys of that generation and of the base only.
+  uint64_t generation() const { return Generation; }
+  bool admits(const FormulaRef &F) const {
+    return F->generation() == 0 || F->generation() == Generation;
+  }
+
+  /// Looks up the outcome cached for \p F under budget \p B. A key the
+  /// cache does not admit always misses.
   std::optional<SatOutcome> lookup(const FormulaRef &F,
                                    const QueryBudget &B);
-  /// Records the outcome of \p F under budget \p B.
+  /// Records the outcome of \p F under budget \p B; dropped when the
+  /// cache does not admit \p F.
   void insert(const FormulaRef &F, const QueryBudget &B, SatOutcome O);
 
   /// Same, with a caller-computed key hash. Exposed so the prover can
@@ -143,7 +167,8 @@ public:
   static uint64_t keyFor(const FormulaRef &F, const QueryBudget &B);
 
   void clear();
-  Stats stats() const; ///< Aggregated over all shards.
+  /// Aggregated over all shards; the backing cache keeps its own.
+  Stats stats() const;
 
 private:
   struct Entry {
@@ -176,6 +201,8 @@ private:
 
   size_t PerShardCap; // Hot-generation capacity per shard.
   std::vector<std::unique_ptr<Shard>> Shards;
+  uint64_t Generation;
+  std::shared_ptr<ProverCache> Backing;
 };
 
 } // namespace mcsafe

@@ -155,7 +155,7 @@ private:
   uint32_t varIndex(VarId V);
 
   std::vector<FormulaRef> Nodes;                 ///< Pool order (topological).
-  std::unordered_map<uint32_t, uint32_t> NodeIx; ///< Formula id -> pool index.
+  std::unordered_map<uint64_t, uint32_t> NodeIx; ///< Formula id -> pool index.
   std::vector<VarId> Vars;
   std::unordered_map<uint32_t, uint32_t> VarIx;  ///< VarId index -> table index.
 };
@@ -165,6 +165,8 @@ private:
 /// nullopt when the data is truncated or malformed in any way. Variables
 /// are re-interned by name through varId() — run this under a
 /// VarScopeSuspend when the caller must not perturb a check's namespace.
+/// Nodes land in this thread's formula generation; install the base with a
+/// FormulaGenerationScope when they must outlive the current check.
 std::optional<std::vector<FormulaRef>> loadFormulaPool(ByteReader &R);
 
 /// A platform- and process-independent structural digest of a formula:

@@ -2,12 +2,15 @@
 
 #include "constraints/Var.h"
 
+#include "constraints/Formula.h"
+#include "support/FaultInjection.h"
+
 #include <array>
 #include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -38,14 +41,14 @@ VarPool &pool() {
 }
 
 /// Appends \p Name to the published storage and returns its new id.
-/// Caller must hold pool().M.
+/// Caller must hold pool().M. An exhausted pool throws std::bad_alloc
+/// before touching anything: the check boundary turns that into an
+/// InternalError verdict, and the process (a daemon) keeps serving.
 uint32_t publishLocked(VarPool &P, std::string_view Name) {
   uint32_t Index = P.Count.load(std::memory_order_relaxed);
   size_t Chunk = Index >> ChunkShift;
-  if (Chunk >= MaxChunks) {
-    std::fprintf(stderr, "mcsafe: variable intern pool exhausted\n");
-    std::abort();
-  }
+  if (Chunk >= MaxChunks || support::faultPoint("alloc/var"))
+    throw std::bad_alloc();
   auto *C = P.Chunks[Chunk].load(std::memory_order_relaxed);
   if (!C) {
     C = new std::array<std::string, ChunkSize>();
@@ -56,11 +59,13 @@ uint32_t publishLocked(VarPool &P, std::string_view Name) {
   return Index;
 }
 
-/// A per-check namespace frame: private name->id table and per-prefix
-/// fresh counters. Owned by VarNamespace, used from one thread.
+/// A per-check namespace frame: private name->id table, per-prefix
+/// fresh counters, and the check's formula generation. Owned by
+/// VarNamespace, used from one thread.
 struct NamespaceFrame {
   std::unordered_map<std::string, uint32_t> Ids;
   std::unordered_map<std::string, uint64_t> FreshCounters;
+  FormulaGeneration Formulas;
 };
 
 /// Active namespace stack of the current thread. A null entry marks a
@@ -131,9 +136,9 @@ VarId mcsafe::freshVar(std::string_view Prefix) {
 }
 
 VarNamespace::VarNamespace() {
-  auto *F = new NamespaceFrame();
-  ScopeStack.push_back(F);
-  Frame = F;
+  auto F = std::make_unique<NamespaceFrame>();
+  ScopeStack.push_back(F.get());
+  Frame = F.release();
 }
 
 VarNamespace::~VarNamespace() {

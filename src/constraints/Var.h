@@ -21,10 +21,10 @@
 /// variable name it mints — depends only on that check's own inputs,
 /// never on what other checks running concurrently intern. That is what
 /// makes reports byte-identical for any --jobs value. Ids stay globally
-/// unique (they are allocated from the shared pool), so formulas from
-/// different namespaces can meet in the shared prover cache, where equal
-/// id structure means alpha-equivalent formulas with identical
-/// satisfiability.
+/// unique (they are allocated from the shared pool), so the formulas of
+/// two namespaces never share a node. A namespace also opens the check's
+/// formula generation (Formula.h), which frees the check's formula nodes
+/// when the namespace ends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +64,8 @@ private:
 
 /// Interns \p Name and returns its id (stable for the process lifetime).
 /// Inside a VarNamespace the lookup is namespace-local: the same name
-/// resolves to one id per namespace.
+/// resolves to one id per namespace. Throws std::bad_alloc when the pool
+/// of about 16M names is exhausted.
 VarId varId(std::string_view Name);
 
 /// The name a VarId was interned under. Lock-free; valid for ids from any
@@ -78,9 +79,13 @@ const std::string &varName(VarId Id);
 VarId freshVar(std::string_view Prefix);
 
 /// RAII: routes this thread's varId/freshVar calls into a private
-/// namespace until destruction. One check = one namespace = one
-/// deterministic id/name sequence. A namespace must be used from a single
-/// thread; speculative pool tasks suspend it with VarScopeSuspend.
+/// namespace, and its formula interning into a private FormulaGeneration,
+/// until destruction. One check = one namespace = one deterministic
+/// id/name sequence = one generation. A namespace must be used from a
+/// single thread; speculative pool tasks suspend its names with
+/// VarScopeSuspend and install its generation with
+/// FormulaGenerationScope. Every formula interned inside is freed at the
+/// end, so nothing may hold one past it.
 class VarNamespace {
 public:
   VarNamespace();
@@ -95,7 +100,8 @@ private:
 /// RAII: temporarily deactivates the current thread's VarNamespace (if
 /// any). The prover wraps its internal work in this so that speculative /
 /// cached query evaluation can never perturb a check's deterministic
-/// fresh-name sequence.
+/// fresh-name sequence. It suspends names only: formulas still intern
+/// into the check's generation.
 class VarScopeSuspend {
 public:
   VarScopeSuspend();

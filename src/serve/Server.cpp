@@ -16,6 +16,9 @@
 #include <sstream>
 
 #include <fcntl.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -38,6 +41,19 @@ constexpr size_t MaxUnsentBytes = size_t(1) << 20;
 /// How long clients get to read their last responses once every admitted
 /// check has finished during shutdown.
 constexpr std::chrono::seconds DrainGrace(5);
+
+/// The least time between two releaseFreedMemory() calls, so a client
+/// sending one request after another does not pay for one each time.
+constexpr std::chrono::milliseconds TrimInterval(50);
+
+/// Returns memory the finished checks freed to the system. Each pool
+/// thread allocates from its own malloc arena, which otherwise keeps its
+/// high-water mark for the life of the daemon.
+void releaseFreedMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 } // namespace
 
@@ -168,8 +184,7 @@ void Server::wait() {
     Workers->stop();
     Workers.reset();
   }
-  if (Certs && Opts.Metrics)
-    Certs->publish(*Opts.Metrics);
+  publishLiveStats();
   Certs.reset();
   support::closeFd(WakeRd);
   support::closeFd(WakeWr);
@@ -180,6 +195,7 @@ void Server::wait() {
 void Server::loop() {
   using Clock = std::chrono::steady_clock;
   std::optional<Clock::time_point> DrainDeadline;
+  Clock::time_point NextTrim = Clock::now();
   std::vector<pollfd> Fds;
   while (true) {
     if (!Stopping && !Running.load(std::memory_order_acquire))
@@ -206,8 +222,14 @@ void Server::loop() {
         Events |= POLLIN;
       Fds.push_back({C.Fd, Events, 0});
     }
-    // While draining, wake up now and then to check the deadline.
+    // While draining, wake up now and then to check the deadline; with a
+    // trim owed, wake up when it is due.
     int Timeout = DrainDeadline ? 100 : -1;
+    if (TrimPending && Active == 0)
+      Timeout = static_cast<int>(std::max<Clock::rep>(
+          0, std::chrono::duration_cast<std::chrono::milliseconds>(
+                 NextTrim - Clock::now())
+                 .count()));
     if (support::retryEintr([&] {
           return ::poll(Fds.data(), Fds.size(), Timeout);
         }) < 0)
@@ -244,6 +266,13 @@ void Server::loop() {
       }
     }
     dispatch();
+    // Once idle, with every response already flushed, hand back what the
+    // checks freed.
+    if (TrimPending && Active == 0 && Clock::now() >= NextTrim) {
+      TrimPending = false;
+      releaseFreedMemory();
+      NextTrim = Clock::now() + TrimInterval;
+    }
   }
 
   if (!Stopping)
@@ -339,8 +368,7 @@ bool Server::handleFrame(Conn &C, MsgType Type, std::string_view Payload) {
   case MsgType::StatsRequest: {
     std::ostringstream OS;
     if (Opts.Metrics) {
-      if (Certs)
-        Certs->publish(*Opts.Metrics);
+      publishLiveStats();
       Opts.Metrics->writeJson(OS);
     } else
       OS << "{}";
@@ -378,6 +406,9 @@ void Server::takeCompletions() {
     std::lock_guard<std::mutex> Lock(DoneMu);
     Batch.swap(Done);
   }
+  // In-process checks free what they allocated (the formula generation
+  // of their namespace included); isolated ones ran in a worker.
+  TrimPending = TrimPending || (!Batch.empty() && !Workers);
   for (const auto &[Id, Frame] : Batch) {
     --Active;
     auto It = Conns.find(Id);
@@ -466,6 +497,28 @@ void Server::queueShed(Conn &C, uint64_t ReqId, const char *Why) {
                                   FailureKind::ResourceExhausted, std::nullopt,
                                   Why});
   queueFrame(C, encodeFrame(MsgType::CheckResponse, encodeCheckResponse(Resp)));
+}
+
+void Server::publishLiveStats() {
+  if (!Opts.Metrics)
+    return;
+  support::MetricsRegistry &Reg = *Opts.Metrics;
+  if (Certs)
+    Certs->publish(Reg);
+  if (SharedCache) {
+    ProverCache::Stats CS = SharedCache->stats();
+    Reg.counter("cache/shared/hits").raiseTo(CS.Hits);
+    Reg.counter("cache/shared/misses").raiseTo(CS.Misses);
+    Reg.counter("cache/shared/insertions").raiseTo(CS.Insertions);
+    Reg.counter("cache/shared/evictions").raiseTo(CS.Evictions);
+    Reg.gauge("cache/shared/entries").set(static_cast<int64_t>(CS.Entries));
+  }
+  // Between requests the interner holds only its base generation; these
+  // gauges stay flat over cold traffic however long the daemon runs.
+  Formula::InternStats I = Formula::internStats();
+  Reg.gauge("intern/formulas").set(static_cast<int64_t>(I.Nodes));
+  Reg.gauge("intern/bytes").set(static_cast<int64_t>(I.Bytes));
+  Reg.gauge("intern/dedup_hits").set(static_cast<int64_t>(I.DedupHits));
 }
 
 std::string Server::runCheck(const CheckRequestMsg &Req) {

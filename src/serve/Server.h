@@ -9,9 +9,12 @@
 /// A long-running verification daemon. Starting a fresh process per check
 /// pays the whole warm-up every time — formula interning, type-factory
 /// population, an empty prover cache, a cold certificate store. The
-/// server keeps all of that resident: one process-wide shared prover
-/// cache, one open CertStore, one work-stealing thread pool, reused
-/// across every request.
+/// server keeps the rest resident: one process-wide shared prover cache
+/// (it holds the revalidation results of loaded certificates, whose
+/// formulas live in the interner's base generation), one open CertStore,
+/// one work-stealing thread pool, reused across every request. What a
+/// request interns itself is freed when it ends, so a daemon that only
+/// ever sees new programs does not grow.
 ///
 /// Concurrency model: one loop thread plus the checker thread pool. The
 /// loop polls the listen socket, a self-pipe (so requestStop() is async-
@@ -168,6 +171,10 @@ private:
   /// socket, client connections.
   std::vector<int> parentFdsSnapshot();
   void bumpCounter(const char *Name, uint64_t Delta = 1);
+  /// Brings the registry up to the daemon's running totals: the cert
+  /// store's and the shared prover cache's counters, and the live
+  /// interner gauges. Runs on the loop thread, or after it has stopped.
+  void publishLiveStats();
 
   ServerOptions Opts;
   unsigned NJobs = 1;
@@ -190,6 +197,7 @@ private:
   unsigned Active = 0;       ///< Checks running on the pool.
   bool Stopping = false;
   uint64_t NextConnId = 1;
+  bool TrimPending = false; ///< Checks finished since the last trim.
 
   std::mutex DoneMu;
   /// Finished checks' (connection id, response frame), guarded by DoneMu.

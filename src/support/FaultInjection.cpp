@@ -40,6 +40,8 @@ FaultPlan *FaultPlan::current() {
 }
 
 bool FaultPlan::shouldFail(const char *Site) {
+  if (!OnlySite.empty() && OnlySite != Site)
+    return false;
   std::lock_guard<std::mutex> Lock(Mu);
   SiteState &S = Sites[Site];
   if (S.Period == 0) {

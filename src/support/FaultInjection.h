@@ -29,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 namespace mcsafe {
 namespace support {
@@ -37,7 +38,10 @@ namespace support {
 /// Thread-safe; one plan is installed globally for the process.
 class FaultPlan {
 public:
-  explicit FaultPlan(uint64_t Seed) : Seed(Seed) {}
+  /// A plan for every site, or, when \p OnlySite is set, for that site
+  /// alone (the others never fire): how a test drives one degraded path.
+  explicit FaultPlan(uint64_t Seed, std::string OnlySite = {})
+      : Seed(Seed), OnlySite(std::move(OnlySite)) {}
 
   /// Installs \p Plan as the process-wide plan (nullptr to disarm). The
   /// plan is borrowed, not owned; it must outlive its installation.
@@ -61,6 +65,7 @@ private:
   };
 
   uint64_t Seed;
+  std::string OnlySite;
   mutable std::mutex Mu;
   std::map<std::string, SiteState> Sites;
 };

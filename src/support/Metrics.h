@@ -55,6 +55,13 @@ class Counter {
 public:
   void inc(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
   uint64_t value() const { return V.load(std::memory_order_relaxed); }
+  /// Raises the counter to \p Total if it is below: publishing a running
+  /// total again never counts an event twice. Calls must not race one
+  /// another.
+  void raiseTo(uint64_t Total) {
+    if (Total > value())
+      inc(Total - value());
+  }
 
 private:
   std::atomic<uint64_t> V{0};

@@ -1,6 +1,7 @@
 //===- InternTest.cpp - Hash-consed formula interner ----------------------===//
 
 #include "constraints/Formula.h"
+#include "constraints/Prover.h"
 
 #include <gtest/gtest.h>
 
@@ -122,6 +123,114 @@ TEST(Intern, TrueFalseAreProcessSingletons) {
   EXPECT_EQ(Formula::mkTrue().get(), Formula::mkTrue().get());
   EXPECT_EQ(Formula::mkFalse().get(), Formula::mkFalse().get());
   EXPECT_NE(Formula::mkTrue().get(), Formula::mkFalse().get());
+}
+
+TEST(Intern, TrueFalseLiveInTheBaseEvenWhenFirstUsedInACheck) {
+  VarNamespace NS;
+  EXPECT_EQ(Formula::mkTrue()->generation(), 0u);
+  EXPECT_EQ(Formula::mkFalse()->generation(), 0u);
+}
+
+TEST(Intern, GenerationNodesAreFreedWithTheirNamespace) {
+  FormulaRef Base = geAtom(var("in.gen_base"));
+  Formula::InternStats Before = Formula::internStats();
+  {
+    VarNamespace NS;
+    FormulaRef A = geAtom(var("in.gen_x").plusConstant(-1));
+    FormulaRef F = Formula::conj2(A, Base);
+    EXPECT_NE(A->generation(), 0u);
+    EXPECT_EQ(F->generation(), A->generation());
+    // Dedup still works inside a generation, and reaches the base.
+    EXPECT_EQ(geAtom(var("in.gen_x").plusConstant(-1)).get(), A.get());
+    EXPECT_EQ(Formula::conj2(A, Base).get(), F.get());
+    EXPECT_EQ(Formula::internStats().Nodes, Before.Nodes + 2);
+  }
+  Formula::InternStats After = Formula::internStats();
+  EXPECT_EQ(After.Nodes, Before.Nodes);
+  EXPECT_EQ(After.Bytes, Before.Bytes);
+}
+
+TEST(Intern, NestedGenerationsRestoreTheOuterOne) {
+  VarNamespace Outer;
+  uint64_t OuterGen = geAtom(var("in.outer"))->generation();
+  {
+    VarNamespace Inner;
+    EXPECT_NE(geAtom(var("in.inner"))->generation(), OuterGen);
+  }
+  EXPECT_EQ(geAtom(var("in.outer2"))->generation(), OuterGen);
+  // A scope routes interning explicitly; null is the base.
+  {
+    FormulaGenerationScope InBase(nullptr);
+    EXPECT_EQ(geAtom(var("in.outer3"))->generation(), 0u);
+  }
+}
+
+TEST(Intern, BaseNodeNeverMemoizesAGenerationNode) {
+  // Base formulas whose negation and simplification are new nodes.
+  FormulaRef F = Formula::conj2(geAtom(var("in.memo_a").plusConstant(-3)),
+                                geAtom(var("in.memo_b")));
+  FormulaRef G = Formula::conj({geAtom(var("in.memo_c").plusConstant(-5)),
+                                geAtom(var("in.memo_c").plusConstant(-2)),
+                                geAtom(var("in.memo_d"))});
+  {
+    VarNamespace NS;
+    EXPECT_NE(Formula::negate(F)->generation(), 0u);
+    EXPECT_NE(simplify(G)->generation(), 0u);
+  }
+  // Had the base nodes memoized those results, these would now read
+  // freed memory (and ASan would say so).
+  FormulaRef N = Formula::negate(F);
+  EXPECT_EQ(N->generation(), 0u);
+  EXPECT_EQ(Formula::negate(N).get(), F.get());
+  FormulaRef S = simplify(G);
+  EXPECT_EQ(S->generation(), 0u);
+  EXPECT_EQ(S->children().size(), 2u);
+}
+
+TEST(Intern, MixingTwoGenerationsIsRefused) {
+  VarNamespace Outer;
+  FormulaRef A = geAtom(var("in.mix_a"));
+  VarNamespace Inner;
+  FormulaRef B = geAtom(var("in.mix_b"));
+  // A node in Inner's generation cannot point into Outer's, which could
+  // end first in another nesting.
+  EXPECT_THROW(Formula::conj2(A, B), std::logic_error);
+}
+
+TEST(Intern, LongLivedCacheHoldsNoGenerationKey) {
+  // Built outside every namespace: the cache outlives the check below,
+  // so it is bound to the base.
+  auto Shared = std::make_shared<ProverCache>();
+  EXPECT_EQ(Shared->generation(), 0u);
+  FormulaRef BaseF = geAtom(var("in.cache_base"));
+  QueryBudget B;
+  {
+    VarNamespace NS;
+    FormulaRef GenF = Formula::conj2(geAtom(var("in.cache_x")),
+                                     geAtom(var("in.cache_y")));
+    Shared->insert(GenF, B, {SatResult::Sat, false});
+    EXPECT_FALSE(Shared->lookup(GenF, B).has_value());
+    Shared->insert(BaseF, B, {SatResult::Sat, false});
+    EXPECT_TRUE(Shared->lookup(BaseF, B).has_value());
+
+    // A prover in the check keeps the check's keys in a private cache
+    // backed by the long-lived one: repeated queries still hit.
+    Prover P(Prover::Options(), Shared);
+    EXPECT_NE(P.cacheHandle(), Shared);
+    EXPECT_EQ(P.cacheHandle()->generation(), GenF->generation());
+    FormulaRef Q = Formula::disj2(
+        geAtom(var("in.cache_x")),
+        geAtom(var("in.cache_x").scaled(-1).plusConstant(-1)));
+    EXPECT_EQ(P.checkValid(Q), ProverResult::Proved);
+    EXPECT_EQ(P.checkValid(Q), ProverResult::Proved);
+    EXPECT_EQ(P.stats().CacheHits, 1u);
+    // A second prover of the same check shares the private cache as is.
+    Prover Local(Prover::Options(), P.cacheHandle());
+    EXPECT_EQ(Local.cacheHandle(), P.cacheHandle());
+    EXPECT_EQ(Local.checkValid(Q), ProverResult::Proved);
+    EXPECT_EQ(Local.stats().CacheHits, 1u);
+  }
+  EXPECT_EQ(Shared->stats().Entries, 1u); // BaseF alone.
 }
 
 } // namespace

@@ -73,6 +73,39 @@ TEST_P(Chaos, FaultsNeverManufactureASafeVerdict) {
 #endif
 }
 
+TEST(FaultInjection, VarPoolExhaustionFailsTheCheckNotTheProcess) {
+  // "alloc/var" fires where an exhausted variable pool throws
+  // std::bad_alloc. Each check mints dozens of namespace-private names,
+  // so most checks meet the fault; those must end InternalError, the
+  // others as usual, and the process must go on checking.
+  support::FaultPlan Plan(1, "alloc/var");
+  support::FaultPlan::install(&Plan);
+  std::map<std::string, CheckVerdict> Faulted;
+  for (const CorpusProgram &P : corpus::corpus()) {
+    VarNamespace NS;
+    Faulted[P.Name] = SafetyChecker().checkSource(P.Asm, P.Policy).Verdict;
+  }
+  support::FaultPlan::install(nullptr);
+  std::map<std::string, CheckVerdict> After = runCorpus();
+
+#if defined(MCSAFE_FAULT_INJECTION)
+  EXPECT_GT(Plan.firedCount(), 0u);
+  size_t Failed = 0;
+  for (const auto &[Name, Verdict] : Faulted) {
+    Failed += Verdict == CheckVerdict::InternalError;
+    if (Verdict != CheckVerdict::InternalError) {
+      EXPECT_EQ(Verdict, After[Name]) << Name;
+    }
+  }
+  EXPECT_GE(Failed, Plan.firedCount());
+#else
+  EXPECT_EQ(Plan.firedCount(), 0u);
+  EXPECT_EQ(Faulted, After);
+#endif
+  for (const CorpusProgram &P : corpus::corpus())
+    EXPECT_EQ(After[P.Name] == CheckVerdict::Safe, P.ExpectSafe) << P.Name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, Chaos, ::testing::Values(1u, 2u, 3u),
                          [](const ::testing::TestParamInfo<uint64_t> &I) {
                            return "seed" + std::to_string(I.param);

@@ -225,6 +225,89 @@ TEST(Serve, StatsCarryLiveCertStoreCounters) {
   std::filesystem::remove_all(Opts.CertDir);
 }
 
+TEST(Serve, ColdRequestsDoNotGrowTheInterner) {
+  // No certificate store: every request is cold, and the formulas each
+  // one interns are freed when it ends. Once the first pass has settled
+  // whatever the daemon keeps for good, more passes add no node.
+  const std::string Baseline = localBaselineRender();
+  support::MetricsRegistry Registry;
+  ServerOptions Opts;
+  Opts.SocketPath = freshSocketPath();
+  Opts.Jobs = 2;
+  Opts.Metrics = &Registry;
+  Server Srv(Opts);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(Error)) << Error;
+  Client Conn;
+  ASSERT_TRUE(Conn.connect(Opts.SocketPath, Error)) << Error;
+
+  std::string Json;
+  EXPECT_EQ(remoteCorpusRender(Conn), Baseline);
+  ASSERT_TRUE(Conn.serverStats(Json, Error)) << Error;
+  const int64_t Nodes = Registry.value("intern/formulas").value_or(-1);
+  const int64_t Bytes = Registry.value("intern/bytes").value_or(-1);
+  EXPECT_EQ(Nodes, int64_t(Formula::internStats().Nodes));
+  EXPECT_NE(Json.find("\"intern\""), std::string::npos) << Json;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    EXPECT_EQ(remoteCorpusRender(Conn), Baseline);
+    ASSERT_TRUE(Conn.serverStats(Json, Error)) << Error;
+    EXPECT_EQ(Registry.value("intern/formulas").value_or(-1), Nodes);
+    EXPECT_EQ(Registry.value("intern/bytes").value_or(-1), Bytes);
+  }
+
+  Srv.requestStop();
+  Srv.wait();
+}
+
+TEST(Serve, WarmRevalidationHitsAcrossRequests) {
+  // A certificate's formulas load into the interner's base generation,
+  // which the daemon's shared prover cache admits: the first warm request
+  // re-proves each Unsat witness and caches the outcome, and the second
+  // finds every one of them there, computing no sat query afresh.
+  support::MetricsRegistry Registry;
+  ServerOptions Opts;
+  Opts.SocketPath = freshSocketPath();
+  Opts.Jobs = 2;
+  Opts.Metrics = &Registry;
+  Opts.CertDir = Opts.SocketPath + ".certs";
+  std::filesystem::remove_all(Opts.CertDir);
+  Server Srv(Opts);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(Error)) << Error;
+  Client Conn;
+  ASSERT_TRUE(Conn.connect(Opts.SocketPath, Error)) << Error;
+
+  const CorpusProgram &P = corpus::corpus().front();
+  ASSERT_TRUE(P.ExpectSafe) << P.Name;
+  auto Counter = [&](const char *Name) {
+    return Registry.value(Name).value_or(-1);
+  };
+  std::string Json;
+  CheckResponseMsg Cold, Warm;
+  ASSERT_TRUE(Conn.check(checkRequest(P, 1), Cold, Error)) << Error;
+  ASSERT_TRUE(Conn.check(checkRequest(P, 2), Warm, Error)) << Error;
+  EXPECT_EQ(renderOne(P.Name, Warm.Report), renderOne(P.Name, Cold.Report));
+  ASSERT_TRUE(Conn.serverStats(Json, Error)) << Error;
+  const int64_t Hits = Counter("cache/shared/hits");
+  const int64_t Misses = Counter("cache/shared/misses");
+  const int64_t Insertions = Counter("cache/shared/insertions");
+  EXPECT_GT(Insertions, 0);
+
+  ASSERT_TRUE(Conn.check(checkRequest(P, 3), Warm, Error)) << Error;
+  EXPECT_EQ(renderOne(P.Name, Warm.Report), renderOne(P.Name, Cold.Report));
+  ASSERT_TRUE(Conn.serverStats(Json, Error)) << Error;
+  EXPECT_EQ(Counter("cert/store/hits"), 2);
+  // No miss: every whole-query lookup hit, so nothing was recomputed
+  // (and nothing new was inserted).
+  EXPECT_GT(Counter("cache/shared/hits"), Hits);
+  EXPECT_EQ(Counter("cache/shared/misses"), Misses);
+  EXPECT_EQ(Counter("cache/shared/insertions"), Insertions);
+
+  Srv.requestStop();
+  Srv.wait();
+  std::filesystem::remove_all(Opts.CertDir);
+}
+
 TEST(Serve, SingleCheckReportMatchesLocalRun) {
   const CorpusProgram &P = corpus::corpus().front();
   ParallelCheckOptions LocalOpts;
