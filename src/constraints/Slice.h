@@ -44,11 +44,11 @@
 /// whole-query entries — sound, because a whole query that *is* a
 /// canonical conjunction of atoms has exactly the disjunct's semantics
 /// (its DNF is itself). The recurring bound-check components machine code
-/// generates hit warm across VCs, procedures, corpus runs, and
-/// mcsafe-serve's process-lifetime cache. Components are solved in
-/// canonical (sorted) atom order so every memoized outcome is a pure
-/// function of (formula, budget) — never of which enclosing query
-/// happened to compute it first.
+/// generates hit warm across the VCs and procedures of one check (whose
+/// formula generation the keys live in; see ProverCache.h). Components
+/// are solved in canonical (sorted) atom order so every memoized outcome
+/// is a pure function of (formula, budget) — never of which enclosing
+/// query happened to compute it first.
 ///
 /// Equalities are left to the solvers below: the Omega test and the
 /// congruence tier run their own unit-pivot elimination.

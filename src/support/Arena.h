@@ -9,9 +9,9 @@
 /// A bump-pointer arena for the constraint kernel's two allocation
 /// patterns that malloc serves poorly:
 ///
-///  - the formula interner's node slabs: nodes are immortal (interned
-///    formulas live for the process), so per-node malloc headers and
-///    free-list bookkeeping are pure overhead;
+///  - the formula interner's node slabs: nodes die all at once, with
+///    their generation (a check) or never (the base), so per-node malloc
+///    headers and free-list bookkeeping are pure overhead;
 ///  - prover scratch (pre-solver bound tables, DBM distance matrices):
 ///    allocated per satisfiability query and discarded wholesale, so a
 ///    reset() that recycles the chunks beats thousands of small frees.
